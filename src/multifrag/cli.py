@@ -34,7 +34,6 @@ from .errors import (
     ParseError,
     ResourceCapExceeded,
     SpecValidationError,
-    StencilOutOfDomain,
     ThetaOutOfDomain,
 )
 from .streams import replica_stream
@@ -48,14 +47,15 @@ EXIT_RESOURCE = 5
 _VALIDATION_ERRORS = (SpecValidationError, NotConservative,
                       DistinctErosionCoefficients, GroundSizeTooSmall)
 _NUMERIC_ERRORS = (NoConvergence, NormTooLarge, NotIrreducible, NotUnimodal,
-                   MaximumAtBracketEdge, StencilOutOfDomain, ThetaOutOfDomain,
-                   InvalidWindow)
+                   MaximumAtBracketEdge, ThetaOutOfDomain, InvalidWindow)
 
 
 # --- spec files ----------------------------------------------------------------
 
 def _number(value, where):
     """Accept decimals or exact 'p/q' fraction strings."""
+    if isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, str):
         try:
             return float(Fraction(value))
@@ -64,6 +64,15 @@ def _number(value, where):
     if isinstance(value, (int, float)):
         return float(value)
     raise ParseError(f"{where}: expected a number, got {value!r}")
+
+
+def _integer(value, where):
+    """Accept JSON integers and integral decimals, never booleans."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{where}: expected an integer, got {value!r}")
 
 
 def parse_spec_file(path: str) -> measures.FragmentationSpec:
@@ -80,8 +89,8 @@ def parse_spec_file(path: str) -> measures.FragmentationSpec:
     for key in ("types", "dislocation"):
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
-    k = doc["types"]
-    if not isinstance(k, int) or k < 1:
+    k = _integer(doc["types"], f"{path}: types")
+    if k < 1:
         raise ParseError(f"{path}: 'types' must be a positive integer")
     erosion = doc.get("erosion", [0.0] * k)
     if not isinstance(erosion, list) or len(erosion) != k:
@@ -97,12 +106,15 @@ def parse_spec_file(path: str) -> measures.FragmentationSpec:
             raise ParseError(f"{path}: dislocation key {key!r} is not a type")
         if not 1 <= i <= k:
             raise ParseError(f"{path}: dislocation type {i} outside 1..{k}")
+        if not isinstance(atoms, list):
+            raise ParseError(f"{path}: dislocation[{key}] must list atoms")
         parsed = []
         for n, atom in enumerate(atoms):
             where = f"dislocation[{key}][{n}]"
             if not isinstance(atom, dict) or "rate" not in atom \
-                    or "fragments" not in atom:
-                raise ParseError(f"{path}: {where} needs 'rate' and 'fragments'")
+                    or not isinstance(atom.get("fragments"), list):
+                raise ParseError(
+                    f"{path}: {where} needs 'rate' and a 'fragments' list")
             rate = _number(atom["rate"], f"{where}.rate")
             pairs = []
             for pn, pair in enumerate(atom["fragments"]):
@@ -110,7 +122,8 @@ def parse_spec_file(path: str) -> measures.FragmentationSpec:
                     raise ParseError(
                         f"{path}: {where}.fragments[{pn}] must be [mass, type]")
                 mass = _number(pair[0], f"{where}.fragments[{pn}]")
-                pairs.append((mass, int(pair[1])))
+                pairs.append((mass, _integer(pair[1],
+                                             f"{where}.fragments[{pn}]")))
             parsed.append((rate, pairs))
         dislocation[i] = parsed
     return measures.fragmentation_spec(
@@ -134,20 +147,27 @@ def spec_to_document(spec: measures.FragmentationSpec) -> dict:
 
 # --- shared helpers -------------------------------------------------------------
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, spec) -> int:
+    """Check the arguments shared by seeded subcommands; return the seed."""
     if getattr(args, "replicas", 1) < 1:
         raise ParseError("--replicas must be at least 1")
     if getattr(args, "t", 1.0) <= 0:
         raise ParseError("--t must be positive")
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MULTIFRAG_SEED")
-    if env is None:
-        raise ParseError("no --seed given and MULTIFRAG_SEED is unset")
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"MULTIFRAG_SEED={env!r} is not an integer")
+    if not 1 <= args.initial_type <= spec.k:
+        raise ParseError(
+            f"--initial-type {args.initial_type} outside 1..{spec.k}")
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("MULTIFRAG_SEED")
+        if env is None:
+            raise ParseError("no --seed given and MULTIFRAG_SEED is unset")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ParseError(f"MULTIFRAG_SEED={env!r} is not an integer")
+    if not 0 <= seed < 2 ** 64:
+        raise ParseError(f"seed {seed} does not fit in 64 unsigned bits")
+    return seed
 
 
 def _open_out(args):
@@ -167,8 +187,8 @@ def _write_rows(args, header, rows):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v
-                                 for v in row])
+                writer.writerow([repr(float(v)) if isinstance(v, float)
+                                 else v for v in row])
     finally:
         if close:
             fh.close()
@@ -184,10 +204,19 @@ def _write_json(args, doc):
             fh.close()
 
 
+def _float_list(text, option):
+    """Parse a comma list of numbers given to ``option``."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{option} expects a comma list of numbers, "
+                         f"got {text!r}")
+
+
 def _parse_times(text, fallback):
     if not text:
         return [fallback]
-    return [float(v) for v in text.split(",")]
+    return _float_list(text, "--times")
 
 
 def _theta_values(args, spec):
@@ -201,7 +230,7 @@ def _theta_values(args, spec):
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
         values = [lo + i * step for i in range(n)]
     elif args.theta is not None:
-        values = [float(v) for v in args.theta.split(",")]
+        values = _float_list(args.theta, "--theta")
     else:
         values = [0.0, 0.5, 1.0, 2.0]
     floor = measures.theta_lower(spec)
@@ -233,7 +262,7 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     times = sorted(_parse_times(args.times, args.t))
     rows = []
     for r in range(args.replicas):
@@ -254,7 +283,7 @@ def cmd_simulate(args):
 
 def cmd_partition(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     times = sorted(_parse_times(args.times, args.t))
     rows = []
     for r in range(args.replicas):
@@ -271,7 +300,7 @@ def cmd_partition(args):
 
 def cmd_tagged(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     rows = []
     for r in range(args.replicas):
         path = simulate.simulate_tagged(
@@ -316,7 +345,7 @@ def cmd_spectral(args):
 
 def cmd_martingale(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     thetas = _theta_values(args, spec)
     times = sorted(_parse_times(args.times, args.t))
     sds = {th: spectral.perron_eigen(spec, th) for th in thetas}
@@ -337,7 +366,7 @@ def cmd_martingale(args):
 
 def cmd_limits(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     lam = measures.intensity_matrix(spec)
     u = asymptotics.stationary_distribution(lam)
     d1, d2 = spectral.phi_derivatives(spec, 0.0)
@@ -369,12 +398,12 @@ def cmd_limits(args):
 
 def cmd_ldcount(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     asymptotics.lattice_check(spec)
     tb, _ = spectral.theta_bar(spec)
     theta = args.theta_frac * tb
     sd = spectral.perron_eigen(spec, theta, with_derivatives=True)
-    times = sorted(float(v) for v in args.t_grid.split(","))
+    times = sorted(_float_list(args.t_grid, "--t-grid"))
     floor = args.a * math.exp(-max(times) * sd.phi_d1)
     counts = np.zeros((len(times), args.replicas, spec.k))
 
@@ -406,7 +435,7 @@ def cmd_ldcount(args):
 
 def cmd_report(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, spec)
     lam = measures.intensity_matrix(spec)
     u0 = asymptotics.stationary_distribution(lam)
     sd0 = spectral.perron_eigen(spec, 0.0, with_derivatives=True)

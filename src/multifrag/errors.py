@@ -79,10 +79,6 @@ class NoConvergence(MultifragError):
     pass
 
 
-class StencilOutOfDomain(MultifragError):
-    pass
-
-
 class MaximumAtBracketEdge(MultifragError):
     pass
 

@@ -176,15 +176,30 @@ def bernstein_matrix(spec: FragmentationSpec, theta: float) -> np.ndarray:
     Phi(theta)_ij = sum over atoms of nu_i of weight * (1{i = j}
     - sum_n x_n^(1+theta) 1{i_n = j}).
     """
+    return bernstein_matrices(spec, theta)[0]
+
+
+def bernstein_matrices(spec: FragmentationSpec, theta: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi(theta) with its first two theta-derivatives, in one pass.
+
+    Phi^(m)(theta)_ij = -sum over atoms of nu_i of weight
+    * sum_n x_n^(1+theta) (log x_n)^m 1{i_n = j}, plus the total rate of
+    nu_i on the diagonal when m = 0.
+    """
     _require_conservative(spec)
     _check_theta(spec, theta)
-    phi = np.zeros((spec.k, spec.k))
+    phi, d1, d2 = (np.zeros((spec.k, spec.k)) for _ in range(3))
     for i in range(1, spec.k + 1):
         for atom in spec.atoms(i):
             phi[i - 1, i - 1] += atom.weight
             for mass, typ in atom.outcome.parts:
-                phi[i - 1, typ - 1] -= atom.weight * mass ** (1.0 + theta)
-    return phi
+                term = atom.weight * mass ** (1.0 + theta)
+                log_mass = math.log(mass)
+                phi[i - 1, typ - 1] -= term
+                d1[i - 1, typ - 1] -= term * log_mass
+                d2[i - 1, typ - 1] -= term * log_mass * log_mass
+    return phi, d1, d2
 
 
 @dataclass(frozen=True)

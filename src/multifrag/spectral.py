@@ -1,12 +1,13 @@
 """Spectral analysis of the matrix exponent.
 
-phi(theta) is the eigenvalue of Phi(theta) with minimal real part, i.e.
--log of the Perron root of exp(-Phi(theta)).  That exponential is an
-entrywise-positive matrix whenever the type chain is irreducible, so power
-iteration (and its transpose) converges to the root and the left/right
-Perron vectors from any positive start, no general eigensolver needed; a
-shift-and-invert polish finishes the job when the leading pair is nearly
-degenerate and the raw iteration crawls.
+phi(theta) is the eigenvalue of Phi(theta) with minimal real part.  When the
+type chain is irreducible, -Phi(theta) is an irreducible Metzler matrix, so
+that eigenvalue is real and simple with entrywise-positive left and right
+vectors.  One dense eigensolve of Phi and of its transpose gives phi, u and
+v; phi' and phi'' follow in closed form from u, v, Phi', Phi'' and the group
+inverse of Phi - phi I (Meyer & Stewart 1988), and theta_bar is the root of
+phi - (theta + 1) phi'.  The Taylor matrix exponential is kept as the
+reference for the semigroup e^(-t Phi).
 """
 
 import math
@@ -20,14 +21,12 @@ from .errors import (
     NormTooLarge,
     NotIrreducible,
     NotUnimodal,
-    StencilOutOfDomain,
 )
 from .measures import (
     FragmentationSpec,
     THETA_GUARD,
-    bernstein_matrix,
+    bernstein_matrices,
     intensity_matrix,
-    theta_lower,
 )
 
 MAX_DIM = 64
@@ -39,7 +38,7 @@ class SpectralData:
     """phi(theta) with its normalized left/right Perron vectors.
 
     u sums to 1, u . v = 1, both entrywise positive.  phi_d1 and phi_d2 are
-    filled by phi_derivatives when requested.
+    filled when perron_eigen is asked for derivatives.
     """
 
     theta: float
@@ -99,186 +98,108 @@ def irreducibility_check(intensity: np.ndarray) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
-def _rayleigh(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    y = a @ x
-    rho = float(x @ y / (x @ x))
-    return rho, float(np.max(np.abs(y - rho * x)))
+def _perron_vector(shifted: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Two inverse-iteration steps from a LAPACK eigenvector.
 
-
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
-    """Best power-iteration estimate (rho, x, residual) for the Perron pair.
-
-    Runs the plain iteration with its Rayleigh stopping rule and bails out
-    when the residual stalls; a nearly degenerate Perron pair then needs the
-    shifted polish below rather than more of the same steps.
+    ``shifted`` is Phi - sigma I with sigma just below phi, a nonsingular
+    M-matrix whose inverse is entrywise positive, so the steps restore
+    components that LAPACK rounded to zero or to the wrong sign.
     """
-    k = a.shape[0]
-    x = np.full(k, 1.0 / k)
-    rho, resid = _rayleigh(a, x)
-    stall_mark, stall_count = resid, 0
-    for _ in range(max_iter):
-        if resid < 1e-11 * max(1.0, rho):
-            break
-        y = a @ x
-        total = y.sum()
-        if total <= 0.0:
-            raise NoConvergence("iterate collapsed to zero")
-        x = y / total
-        rho_new, resid = _rayleigh(a, x)
-        if abs(rho_new - rho) < tol * max(1.0, abs(rho_new)) and resid < 1e-10:
-            rho = rho_new
-            break
-        rho = rho_new
-        stall_count += 1
-        if stall_count >= 100:
-            if resid > 0.9 * stall_mark:
-                break
-            stall_mark, stall_count = resid, 0
-    return rho, x, resid
-
-
-def _inverse_step(a: np.ndarray, sigma: float, x: np.ndarray):
-    """One inverse-iteration step, normalized to the positive cone.
-
-    Returns None when the step leaves the cone or degenerates; the caller
-    keeps its previous iterate in that case.
-    """
-    try:
-        z = np.linalg.solve(a - sigma * np.eye(a.shape[0]), x)
-    except np.linalg.LinAlgError:
-        return None
-    total = z.sum()
-    if total == 0.0 or not np.all(np.isfinite(z)):
-        return None
-    z = z / total
-    if z.min() < -1e-9 * float(np.max(np.abs(z))):
-        return None
-    return np.maximum(z, 1e-300)
-
-
-def _polish_pair(a: np.ndarray, rho: float, u: np.ndarray, v: np.ndarray):
-    """Shift-and-invert refinement of a left/right Perron pair.
-
-    Power iteration crawls when the two leading eigenvalues sit within
-    ~1e-8 of each other, and worse, independent left and right runs can
-    settle on different members of the near-degenerate pair.  Solving both
-    sides with one shared shift placed just above the dominant root keeps
-    the pair consistent and converges in a handful of linear solves.
-    """
-    best_res = math.inf
-    for _ in range(8):
-        rho_v, res_v = _rayleigh(a, v)
-        rho_u, res_u = _rayleigh(a.T, u)
-        rho = max(rho, rho_v, rho_u)
-        res = max(res_v, res_u)
-        if res < 1e-11 * max(1.0, rho) or res > 0.9 * best_res:
-            break
-        best_res = res
-        sigma = rho + 2.0 * max(res, 1e-15 * max(1.0, rho))
-        v_new = _inverse_step(a, sigma, v)
-        u_new = _inverse_step(a.T, sigma, u)
-        if v_new is None and u_new is None:
-            break
-        if v_new is not None:
-            v = v_new
-        if u_new is not None:
-            u = u_new
-    rho_v, _ = _rayleigh(a, v)
-    rho_u, _ = _rayleigh(a.T, u)
-    return 0.5 * (rho_v + rho_u), u, v
+    x = np.abs(vec.real)
+    for _ in range(2):
+        x = np.linalg.solve(shifted, x)
+        x = x / x.sum()
+    return x
 
 
 def perron_eigen(spec: FragmentationSpec, theta: float, *,
-                 with_derivatives: bool = False, tol: float = 1e-13,
-                 max_iter: int = 100_000) -> SpectralData:
-    """phi(theta), u(theta), v(theta) for an irreducible conservative spec."""
+                 with_derivatives: bool = False) -> SpectralData:
+    """phi(theta), u(theta), v(theta) for an irreducible conservative spec.
+
+    With ``with_derivatives`` also phi' = u Phi' v and
+    phi'' = u Phi'' v - 2 u Phi' G Phi' v, where G is the group inverse of
+    Phi - phi I.
+    """
     lam = intensity_matrix(spec)
     if not irreducibility_check(lam):
         raise NotIrreducible("tagged type chain is not irreducible")
-    a = matrix_exponential(-bernstein_matrix(spec, theta))
-    rho_v, v, _ = _power_iteration(a, tol, max_iter)
-    rho_u, u, _ = _power_iteration(a.T, tol, max_iter)
-    rho, u, v = _polish_pair(a, max(rho_v, rho_u), u, v)
-    u = u / u.sum()
-    if u @ v < 1e-8 * v.sum():
-        raise NoConvergence("left/right iterations paired distinct eigenvalues")
+    m, m1, m2 = bernstein_matrices(spec, theta)
+    k = spec.k
+    w, right = np.linalg.eig(m)
+    w_t, left = np.linalg.eig(m.T)
+    order = np.argsort(w.real)
+    phi = float(w[order[0]].real) + 0.0
+    scale = max(1.0, float(np.max(np.sum(np.abs(m), axis=1))))
+    # spectral gap, floored at the rounding level of Phi
+    gap = max(float(w[order[1]].real) - phi if k > 1 else scale,
+              1e-12 * scale)
+    shifted = m - (phi - 1e-3 * gap) * np.eye(k)
+    v = _perron_vector(shifted, right[:, order[0]])
+    u = _perron_vector(shifted.T, left[:, np.argmin(w_t.real)])
     v = v / (u @ v)
     if np.any(u <= 0) or np.any(v <= 0):
         raise NoConvergence("Perron vectors not positive")
-    resid = max(np.max(np.abs(u @ a - rho * u)), np.max(np.abs(a @ v - rho * v)))
-    if resid > 1e-9:
-        raise NoConvergence(f"eigen residual {resid} above 1e-9")
-    sd = SpectralData(theta=theta, phi=-math.log(rho) + 0.0, u=u, v=v)
-    if with_derivatives:
-        d1, d2 = phi_derivatives(spec, theta)
-        sd = SpectralData(theta=theta, phi=sd.phi, u=u, v=v, phi_d1=d1, phi_d2=d2)
-    return sd
+    resid = max(np.max(np.abs(u @ m - phi * u)),
+                np.max(np.abs(m @ v - phi * v)))
+    if resid > 1e-9 * scale:
+        raise NoConvergence(f"eigen residual {resid} above 1e-9 |Phi|")
+    if not with_derivatives:
+        return SpectralData(theta=theta, phi=phi, u=u, v=v)
+    # group inverse of Phi - phi I; the rank-one term is weighted by the gap
+    # so that the inverted matrix stays as well conditioned as the problem
+    vu = np.outer(v, u)
+    group = np.linalg.inv(m - phi * np.eye(k) + gap * vu) - vu / gap
+    d1 = float(u @ m1 @ v)
+    d2 = float(u @ m2 @ v - 2.0 * (u @ m1) @ group @ (m1 @ v))
+    return SpectralData(theta=theta, phi=phi, u=u, v=v,
+                        phi_d1=d1, phi_d2=d2)
 
 
-def phi_of(spec: FragmentationSpec, theta: float) -> float:
-    return perron_eigen(spec, theta).phi
+def phi_derivatives(spec: FragmentationSpec,
+                    theta: float) -> tuple[float, float]:
+    """phi'(theta) and phi''(theta) in closed form from the Perron data."""
+    sd = perron_eigen(spec, theta, with_derivatives=True)
+    return sd.phi_d1, sd.phi_d2
 
 
-def phi_derivatives(spec: FragmentationSpec, theta: float,
-                    h: float = 1e-4) -> tuple[float, float]:
-    """Richardson-extrapolated central differences of phi.
-
-    Uses the five-point stencil theta, theta +- h, theta +- 2h: the step-h
-    and step-2h estimates are combined as (4 D(h) - D(2h)) / 3.
-    """
-    if theta - 2 * h <= theta_lower(spec) + THETA_GUARD:
-        raise StencilOutOfDomain(f"stencil at theta = {theta} dips below domain")
-    f = {d: phi_of(spec, theta + d * h) for d in (-2, -1, 0, 1, 2)}
-    d1_h = (f[1] - f[-1]) / (2 * h)
-    d1_2h = (f[2] - f[-2]) / (4 * h)
-    d2_h = (f[1] - 2 * f[0] + f[-1]) / h ** 2
-    d2_2h = (f[2] - 2 * f[0] + f[-2]) / (4 * h ** 2)
-    return (4 * d1_h - d1_2h) / 3, (4 * d2_h - d2_2h) / 3
-
-
-def theta_bar(spec: FragmentationSpec, bracket: tuple[float, float] = (0.0, 50.0),
-              *, tol: float = 1e-6, grid_points: int = 100) -> tuple[float, float]:
+def theta_bar(spec: FragmentationSpec, bracket: tuple[float, float] = (0.0, 50.0)
+              ) -> tuple[float, float]:
     """Maximizer of g(theta) = phi(theta) / (theta + 1) and phi' there.
 
-    Golden-section search on the bracket; a coarse grid scan guards against
-    a non-unimodal profile and a maximizer stuck at a bracket edge, and the
+    g' has the sign of -h, where h(theta) = phi - (theta + 1) phi'.  A
+    100-point scan of h must change sign exactly once, from - to +; the root
+    in that cell is found by Newton steps on h' = -(theta + 1) phi'',
+    falling back to bisection whenever a step leaves the cell, and the
     fixed-point identity phi = (theta + 1) phi' is verified to 1e-6.
     """
     lo, hi = bracket
 
-    def g(th):
-        return phi_of(spec, th) / (th + 1.0)
+    def h(th):
+        sd = perron_eigen(spec, th, with_derivatives=True)
+        return sd.phi - (th + 1.0) * sd.phi_d1, sd
 
-    grid = np.linspace(lo + THETA_GUARD, hi, grid_points)
-    vals = np.array([g(th) for th in grid])
-    diffs = np.sign(np.diff(vals))
-    # drop flat steps, then a unimodal profile changes direction at most once
-    moves = diffs[diffs != 0]
-    changes = int(np.sum(moves[1:] != moves[:-1]))
-    if changes > 1:
+    grid = [float(th) for th in np.linspace(lo + THETA_GUARD, hi, 100)]
+    positive = np.array([h(th)[0] > 0 for th in grid])
+    changes = np.flatnonzero(positive[1:] != positive[:-1])
+    if len(changes) > 1:
         raise NotUnimodal("g(theta) has several local maxima on the scan grid")
-    if vals.argmax() in (0, len(vals) - 1):
+    if len(changes) == 0 or positive[0]:
         raise MaximumAtBracketEdge("maximizer of phi/(theta+1) at bracket edge")
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > tol:
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
+    a, b = grid[changes[0]], grid[changes[0] + 1]
+    th = 0.5 * (a + b)
+    for _ in range(100):
+        val, sd = h(th)
+        if val < 0:
+            a = th
         else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    tb = 0.5 * (a + b)
-    if tb - lo < 10 * tol or hi - tb < 10 * tol:
-        raise MaximumAtBracketEdge(f"theta_bar = {tb} sits at the bracket edge")
-    d1, _ = phi_derivatives(spec, tb)
-    resid = abs(phi_of(spec, tb) / (tb + 1.0) - d1)
+            b = th
+        slope = -(th + 1.0) * sd.phi_d2
+        newton = th - val / slope if slope > 0 else math.nan
+        step = newton if a < newton < b else 0.5 * (a + b)
+        if abs(step - th) <= 1e-13 * (1.0 + abs(th)):
+            break
+        th = step
+    resid = abs(sd.phi / (th + 1.0) - sd.phi_d1)
     if resid > 1e-6:
         raise NoConvergence(f"fixed-point residual {resid} above 1e-6")
-    return tb, d1
+    return th, sd.phi_d1

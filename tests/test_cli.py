@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from multifrag.cli import main, parse_spec_file, spec_to_document
+from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
 from multifrag.errors import ParseError, SpecValidationError
 
 SPEC_B_DOC = {
@@ -16,6 +17,20 @@ SPEC_B_DOC = {
         "2": [{"rate": 1.0, "fragments": [[0.5, 1], [0.5, 1]]}],
     },
 }
+
+
+SPEC_C_DOC = {
+    "types": 2,
+    "dislocation": {
+        "1": [{"rate": 1.0, "fragments": [[0.6, 1], [0.4, 2]]}],
+        "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.3, 1], [0.2, 1]]}],
+    },
+}
+
+
+def _one_type_doc(rate=1.0, child_type=1):
+    return {"types": 1, "dislocation": {"1": [
+        {"rate": rate, "fragments": [[0.5, child_type], [0.5, 1]]}]}}
 
 
 @pytest.fixture()
@@ -54,6 +69,22 @@ def test_parse_missing_key(tmp_path):
     path.write_text(json.dumps({"types": 1}))
     with pytest.raises(ParseError):
         parse_spec_file(str(path))
+
+
+@pytest.mark.parametrize("doc", [
+    {**_one_type_doc(), "types": True},
+    _one_type_doc(child_type=1.7),
+    _one_type_doc(child_type="x"),
+    _one_type_doc(rate=True),
+    {"types": 1, "dislocation": {"1": 5}},
+    {"types": 1, "dislocation": {"1": [{"rate": 1.0, "fragments": 5}]}},
+], ids=["bool-types", "fractional-type", "string-type", "bool-rate",
+        "atoms-not-a-list", "fragments-not-a-list"])
+def test_parse_rejects_loose_values(tmp_path, doc, capsys):
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--spec", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
 def test_parse_invalid_fragments(tmp_path):
@@ -124,7 +155,28 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert err["error"] == "NotIrreducible"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--theta", "0.3,x"],
+    ["simulate", "--seed", "1", "--times", "1,x"],
+    ["ldcount", "--seed", "1", "--t-grid", "8,,9"],
+    ["tagged", "--seed", "-1"],
+    ["tagged", "--seed", str(2 ** 64)],
+    ["tagged", "--seed", "1", "--initial-type", "5"],
+    ["tagged", "--seed", "1", "--initial-type", "0"],
+], ids=["theta-list", "times-list", "t-grid-list", "negative-seed",
+        "wide-seed", "initial-type-above-k", "initial-type-zero"])
+def test_bad_arguments_are_parse_errors(spec_b_file, argv, capsys):
+    assert main(argv[:1] + ["--spec", spec_b_file] + argv[1:]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 # --- outputs ------------------------------------------------------------------------
+
+def test_write_rows_prints_numpy_scalars_as_plain_floats(tmp_path):
+    out = tmp_path / "rows.csv"
+    args = argparse.Namespace(out=str(out), format="csv")
+    _write_rows(args, ["x", "n"], [(np.float64(0.1), 3)])
+    assert out.read_text() == "x,n\n0.1,3\n"
 
 def test_validate_report(spec_b_file, tmp_path):
     out = tmp_path / "v.json"
@@ -176,6 +228,22 @@ def test_spectral_grid_output(spec_b_file, tmp_path):
     # same phi as SPEC-A, so the known critical exponent
     assert doc["theta_bar"] == pytest.approx(1.42134, abs=1e-3)
     assert doc["phi_prime_at_theta_bar"] == pytest.approx(0.25880, abs=1e-4)
+
+
+def test_spectral_rate_scaling(tmp_path):
+    # rates times 200 scale Phi by 200 and leave theta_bar where it was
+    scaled = json.loads(json.dumps(SPEC_C_DOC))
+    for atoms in scaled["dislocation"].values():
+        for atom in atoms:
+            atom["rate"] *= 200.0
+    tbs = []
+    for name, doc in (("c", SPEC_C_DOC), ("c200", scaled)):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectral", "--spec", str(path), "--theta", "1",
+                     "--format", "json", "--out", str(out)]) == 0
+        tbs.append(json.loads(out.read_text())["theta_bar"])
+    assert tbs[1] == pytest.approx(tbs[0], abs=1e-9)
 
 
 def test_partition_output(spec_b_file, tmp_path):
@@ -230,15 +298,8 @@ def test_limits_report(spec_b_file, tmp_path):
 
 def test_ldcount_table(tmp_path):
     # non-lattice model so no lattice warning fires
-    doc = {
-        "types": 2,
-        "dislocation": {
-            "1": [{"rate": 1.0, "fragments": [[0.6, 1], [0.4, 2]]}],
-            "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.3, 1], [0.2, 1]]}],
-        },
-    }
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SPEC_C_DOC))
     out = tmp_path / "ld.csv"
     assert main(["ldcount", "--spec", str(path), "--seed", "9",
                  "--replicas", "50", "--t-grid", "4,6", "--out", str(out)]) == 0
