@@ -23,6 +23,7 @@ from . import asymptotics, measures, simulate, spectral
 from .errors import (
     DistinctErosionCoefficients,
     GroundSizeTooSmall,
+    InvalidArgument,
     InvalidWindow,
     MaximumAtBracketEdge,
     MultifragError,
@@ -570,7 +571,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, InvalidArgument) as exc:
         _emit_error(exc)
         return EXIT_PARSE
     except _VALIDATION_ERRORS as exc:

@@ -93,6 +93,12 @@ class InvalidWindow(MultifragError):
     pass
 
 
+# --- library arguments --------------------------------------------------------
+
+class InvalidArgument(MultifragError, ValueError):
+    """A library call got an argument outside its domain."""
+
+
 # --- driver -------------------------------------------------------------------
 
 class ParseError(MultifragError):

@@ -2,14 +2,18 @@
 
 A fragmentation model is a number of types k, per-type erosion coefficients,
 and per-type dislocation measures given as finite weighted lists of typed
-mass-partitions.  From a conservative model we derive in closed form the
-intensity matrix of the tagged type chain, the matrix exponent of the tagged
-pair (type, -log mass), and its decomposition into per-type subordinator
-jump measures plus switch-jump distributions.
+mass-partitions.  A FragmentationSpec is validated when it is built and
+compiled, once, into a flat table of child rows: one row per child of every
+atom, carrying the parent type, the atom's rate, the child's mass and type.
+The intensity matrix of the tagged type chain, the matrix exponent of the
+tagged pair (type, -log mass) with its theta-derivatives, its decomposition
+into per-type subordinator jump measures plus switch-jump distributions, and
+the simulators' selection tables are all read off those rows.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,10 +22,13 @@ from .errors import (
     NotConservative,
     SpecValidationError,
     ThetaOutOfDomain,
+    TypeOutOfRange,
 )
 from .partitions import MASS_TOL, TypedMassPartition, build_typed_mass_partition
 
 THETA_GUARD = 1e-9
+
+_compiled = partial(field, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -37,27 +44,100 @@ class FragmentationSpec:
     """k types, erosion coefficients, finite-atom dislocation measures.
 
     ``dislocation[i - 1]`` holds the atoms for type i.  ``conservative`` is a
-    declaration checked by validate_spec: it requires zero erosion and
-    dust-free outcomes.
+    declaration: it requires zero erosion and dust-free outcomes.
+
+    Construction runs validate_spec, so an invalid spec cannot exist, and
+    compiles the atoms into the flat arrays declared below, which are not
+    compared, hashed or shown by repr.  Both selection tables end at exactly
+    1.0, so every uniform draw in [0, 1) selects an entry.
     """
 
     k: int
     erosion: tuple[float, ...]
     dislocation: tuple[tuple[DislocationAtom, ...], ...]
     conservative: bool
+    # per child row, in the order of type, atom and child
+    row_type: np.ndarray = _compiled()  # parent type
+    row_atom: np.ndarray = _compiled()
+    row_weight: np.ndarray = _compiled()  # the atom's rate
+    row_mass: np.ndarray = _compiled()
+    row_child: np.ndarray = _compiled()  # child type
+    row_log_mass: np.ndarray = _compiled()
+    # per atom, in the order of type and atom
+    atom_type: np.ndarray = _compiled()
+    atom_weight: np.ndarray = _compiled()
+    atom_dust: np.ndarray = _compiled()
+    atom_first_row: np.ndarray = _compiled()
+    atom_rows: np.ndarray = _compiled()  # number of child rows
+    # per type i, indexed by i; entry 0 stands for no type and is empty
+    type_rate: np.ndarray = _compiled()  # total rate of nu_i
+    type_atoms: np.ndarray = _compiled()  # atoms type_atoms[i]:type_atoms[i + 1]
+    type_rows: np.ndarray = _compiled()  # rows type_rows[i]:type_rows[i + 1]
+    # cumulative atom weights over the rate: the atom a fragment splits by
+    atom_cum: tuple[np.ndarray, ...] = _compiled()
+    # cumulative weight * mass over the rate: the child a tagged point enters
+    row_cum: tuple[np.ndarray, ...] = _compiled()
+    # a walk taking each atom's own term and then its children's: indices
+    # into the atoms followed by the rows, and the k x k cell of each step
+    walk: np.ndarray = _compiled()
+    walk_cell: np.ndarray = _compiled()
+
+    def __post_init__(self):
+        validate_spec(self)
+        put = partial(object.__setattr__, self)
+        atoms = [atom for row in self.dislocation for atom in row]
+        parts = [part for atom in atoms for part in atom.outcome.parts]
+        put("atom_type", np.repeat(np.arange(1, self.k + 1),
+                                   [len(row) for row in self.dislocation]))
+        put("atom_weight", np.array([atom.weight for atom in atoms], dtype=float))
+        put("atom_dust", np.array([atom.outcome.dust for atom in atoms],
+                                  dtype=float))
+        put("atom_rows", np.array([len(atom.outcome.parts) for atom in atoms],
+                                  dtype=np.int64))
+        put("atom_first_row", np.cumsum(self.atom_rows) - self.atom_rows)
+        put("row_atom", np.repeat(np.arange(len(atoms)), self.atom_rows))
+        put("row_type", self.atom_type[self.row_atom])
+        put("row_weight", self.atom_weight[self.row_atom])
+        put("row_mass", np.array([mass for mass, _ in parts], dtype=float))
+        put("row_child", np.array([typ for _, typ in parts], dtype=np.int64))
+        # math.log, not np.log: the two differ in the last bit for some masses
+        put("row_log_mass", np.array([math.log(mass) for mass, _ in parts]))
+        # summed in atom order, the bits of a running sum over the atoms
+        put("type_rate", np.bincount(self.atom_type, self.atom_weight,
+                                     self.k + 1).astype(float))
+        put("type_atoms", np.searchsorted(self.atom_type, np.arange(self.k + 2)))
+        put("type_rows", np.searchsorted(self.row_type, np.arange(self.k + 2)))
+        tagged = self.row_weight * self.row_mass / self.type_rate[self.row_type]
+        atom_cum = [np.cumsum(w) / rate for w, rate in zip(
+            np.split(self.atom_weight, self.type_atoms[1:-1]), self.type_rate)]
+        row_cum = [np.cumsum(p) for p in np.split(tagged, self.type_rows[1:-1])]
+        for cum in atom_cum + row_cum:
+            cum[-1:] = 1.0
+        put("atom_cum", tuple(atom_cum))
+        put("row_cum", tuple(row_cum))
+        n = len(atoms)
+        put("walk", np.insert(np.arange(n, n + len(parts)), self.atom_first_row,
+                              np.arange(n)))
+        put("walk_cell", np.concatenate([
+            (self.atom_type - 1) * (self.k + 1),
+            (self.row_type - 1) * self.k + self.row_child - 1])[self.walk])
+
+    def check_type(self, i: int) -> int:
+        """Return i if it is a type of this model, else raise TypeOutOfRange."""
+        if not (isinstance(i, (int, np.integer)) and 1 <= i <= self.k):
+            raise TypeOutOfRange(f"type {i!r} outside 1..{self.k}")
+        return i
 
     def atoms(self, i: int) -> tuple[DislocationAtom, ...]:
-        if not 1 <= i <= self.k:
-            raise IndexError(f"type {i} outside 1..{self.k}")
-        return self.dislocation[i - 1]
+        return self.dislocation[self.check_type(i) - 1]
 
     def total_rate(self, i: int) -> float:
-        return sum(a.weight for a in self.atoms(i))
+        return float(self.type_rate[self.check_type(i)])
 
 
 def fragmentation_spec(k: int, dislocation, erosion=None,
                        conservative: bool | None = None) -> FragmentationSpec:
-    """Build and validate a spec from plain data.
+    """Build a spec from plain data; construction validates it.
 
     ``dislocation`` maps each type i in 1..k to a list of atoms, where an
     atom is either a DislocationAtom or a (weight, pairs) tuple with pairs
@@ -65,8 +145,9 @@ def fragmentation_spec(k: int, dislocation, erosion=None,
     auto-detection (zero erosion and dust-free atoms).
     """
     erosion = tuple(float(c) for c in (erosion if erosion is not None else [0.0] * k))
+    bad = [("TypeOutOfRange", f"nu_{key!r}: dislocation type outside 1..{k}")
+           for key in dislocation if key not in range(1, k + 1)]
     table = []
-    bad = []
     for i in range(1, k + 1):
         atoms = []
         for n, atom in enumerate(dislocation.get(i, [])):
@@ -85,9 +166,8 @@ def fragmentation_spec(k: int, dislocation, erosion=None,
     if conservative is None:
         conservative = all(c == 0.0 for c in erosion) and all(
             a.outcome.dust <= MASS_TOL for row in table for a in row)
-    spec = FragmentationSpec(k=k, erosion=erosion, dislocation=tuple(table),
+    return FragmentationSpec(k=k, erosion=erosion, dislocation=tuple(table),
                              conservative=bool(conservative))
-    return validate_spec(spec)
 
 
 def validate_spec(spec: FragmentationSpec) -> FragmentationSpec:
@@ -114,8 +194,8 @@ def validate_spec(spec: FragmentationSpec) -> FragmentationSpec:
             if not (atom.weight > 0 and math.isfinite(atom.weight)):
                 bad.append(("NonpositiveWeight", f"{where}: weight {atom.weight}"))
             out = atom.outcome
-            if any(t > spec.k for _, t in out.parts):
-                bad.append(("TypeOutOfRange", f"{where}: type beyond k = {spec.k}"))
+            if any(not 1 <= t <= spec.k for _, t in out.parts):
+                bad.append(("TypeOutOfRange", f"{where}: type outside 1..{spec.k}"))
             if (len(out.parts) == 1 and out.parts[0][1] == i
                     and out.parts[0][0] >= 1.0 - MASS_TOL):
                 bad.append(("AtomAtUnit", f"{where}: outcome is the unit state"))
@@ -134,7 +214,6 @@ def validate_spec(spec: FragmentationSpec) -> FragmentationSpec:
 
 
 def _require_conservative(spec: FragmentationSpec) -> None:
-    validate_spec(spec)
     if not spec.conservative:
         raise NotConservative("operation requires a conservative spec")
 
@@ -145,13 +224,25 @@ def theta_lower(spec: FragmentationSpec) -> float:
     Finite atom lists with finitely many parts keep every entry finite for
     all theta > -1, where the child masses x^(1+theta) stay integrable.
     """
-    validate_spec(spec)
     return -1.0
 
 
 def _check_theta(spec: FragmentationSpec, theta: float) -> None:
     if not theta > theta_lower(spec) + THETA_GUARD:
         raise ThetaOutOfDomain(f"theta = {theta} not above {theta_lower(spec)}")
+
+
+def _cell_sums(spec: FragmentationSpec, atom_terms, row_terms) -> np.ndarray:
+    """k x k sums of a term per atom, on its type's diagonal cell, and a term
+    per child row, on its (parent type, child type) cell.
+
+    The terms are added in the order of spec.walk, so every cell has the
+    bits of a running sum over the atoms and their children.
+    """
+    sums = np.zeros(spec.k * spec.k)
+    np.add.at(sums, spec.walk_cell,
+              np.concatenate([atom_terms, row_terms])[spec.walk])
+    return sums.reshape(spec.k, spec.k)
 
 
 def intensity_matrix(spec: FragmentationSpec) -> np.ndarray:
@@ -161,13 +252,7 @@ def intensity_matrix(spec: FragmentationSpec) -> np.ndarray:
     - 1{i = j}); rows sum to zero because the outcomes carry full mass.
     """
     _require_conservative(spec)
-    lam = np.zeros((spec.k, spec.k))
-    for i in range(1, spec.k + 1):
-        for atom in spec.atoms(i):
-            lam[i - 1, i - 1] -= atom.weight
-            for mass, typ in atom.outcome.parts:
-                lam[i - 1, typ - 1] += atom.weight * mass
-    return lam
+    return _cell_sums(spec, -spec.atom_weight, spec.row_weight * spec.row_mass)
 
 
 def bernstein_matrix(spec: FragmentationSpec, theta: float) -> np.ndarray:
@@ -181,7 +266,7 @@ def bernstein_matrix(spec: FragmentationSpec, theta: float) -> np.ndarray:
 
 def bernstein_matrices(spec: FragmentationSpec, theta: float
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phi(theta) with its first two theta-derivatives, in one pass.
+    """Phi(theta) with its first two theta-derivatives.
 
     Phi^(m)(theta)_ij = -sum over atoms of nu_i of weight
     * sum_n x_n^(1+theta) (log x_n)^m 1{i_n = j}, plus the total rate of
@@ -189,17 +274,12 @@ def bernstein_matrices(spec: FragmentationSpec, theta: float
     """
     _require_conservative(spec)
     _check_theta(spec, theta)
-    phi, d1, d2 = (np.zeros((spec.k, spec.k)) for _ in range(3))
-    for i in range(1, spec.k + 1):
-        for atom in spec.atoms(i):
-            phi[i - 1, i - 1] += atom.weight
-            for mass, typ in atom.outcome.parts:
-                term = atom.weight * mass ** (1.0 + theta)
-                log_mass = math.log(mass)
-                phi[i - 1, typ - 1] -= term
-                d1[i - 1, typ - 1] -= term * log_mass
-                d2[i - 1, typ - 1] -= term * log_mass * log_mass
-    return phi, d1, d2
+    term = spec.row_weight * spec.row_mass ** (1.0 + theta)
+    d1 = term * spec.row_log_mass
+    zero = np.zeros_like(spec.atom_weight)
+    return (_cell_sums(spec, spec.atom_weight, -term),
+            _cell_sums(spec, zero, -d1),
+            _cell_sums(spec, zero, -(d1 * spec.row_log_mass)))
 
 
 @dataclass(frozen=True)
@@ -210,13 +290,12 @@ class MapCharacteristics:
     compound-Poisson subordinator active while the type sits at i;
     ``switch_jumps[(i, j)]`` is the distribution of the log-mass jump
     taken when the type switches i -> j, as (probability, jump) pairs.
-    With conservative finite-atom measures every switch moves mass, so
-    switch_prob is simply 1 wherever the switch rate is positive.
+    With conservative finite-atom measures every switch moves mass, so a
+    switch i -> j always draws its jump from switch_jumps[(i, j)].
     """
 
     intensity: np.ndarray
     subordinator_jumps: tuple[tuple[tuple[float, float], ...], ...]
-    switch_prob: np.ndarray
     switch_jumps: dict
 
     def psi(self, i: int, theta: float) -> float:
@@ -239,55 +318,37 @@ class MapCharacteristics:
         """Reassemble the matrix exponent from the decomposition.
 
         Phi(theta) = -Lambda + diag(psi_i(theta))
-        + (lambda_ij p_ij (1 - Bhat_ij(theta))).
+        + (lambda_ij (1 - Bhat_ij(theta))).
         """
         k = self.intensity.shape[0]
         phi = -self.intensity.copy()
         for i in range(1, k + 1):
             phi[i - 1, i - 1] += self.psi(i, theta)
             for j in range(1, k + 1):
-                if j == i:
-                    continue
-                lam = self.intensity[i - 1, j - 1]
-                p = self.switch_prob[i - 1, j - 1]
-                phi[i - 1, j - 1] += lam * p * (1.0 - self.bhat(i, j, theta))
+                if j != i:
+                    lam = self.intensity[i - 1, j - 1]
+                    phi[i - 1, j - 1] += lam * (1.0 - self.bhat(i, j, theta))
         return phi
 
 
 def map_characteristics(spec: FragmentationSpec) -> MapCharacteristics:
     """Intensity matrix, subordinator jump measures, and switch-jump laws."""
-    _require_conservative(spec)
     lam = intensity_matrix(spec)
-    sub = []
-    switch_raw: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for i in range(1, spec.k + 1):
-        jumps = []
-        for atom in spec.atoms(i):
-            for mass, typ in atom.outcome.parts:
-                rate = atom.weight * mass
-                jump = -math.log(mass)
-                if typ == i:
-                    if rate > 0.0:
-                        jumps.append((rate, jump))
-                else:
-                    switch_raw.setdefault((i, typ), []).append((rate, jump))
-        sub.append(tuple(jumps))
-    switch_prob = np.zeros((spec.k, spec.k))
-    switch_jumps = {}
-    for (i, j), pairs in switch_raw.items():
-        total = float(lam[i - 1, j - 1])
-        switch_prob[i - 1, j - 1] = 1.0
-        switch_jumps[(i, j)] = tuple((rate / total, jump) for rate, jump in pairs)
-    return MapCharacteristics(intensity=lam, subordinator_jumps=tuple(sub),
-                              switch_prob=switch_prob, switch_jumps=switch_jumps)
+    sub = [[] for _ in range(spec.k)]
+    switch: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for i, j, rate, jump in zip(spec.row_type.tolist(), spec.row_child.tolist(),
+                                (spec.row_weight * spec.row_mass).tolist(),
+                                (-spec.row_log_mass).tolist()):
+        if j != i:
+            total = float(lam[i - 1, j - 1])
+            switch.setdefault((i, j), []).append((rate / total, jump))
+        elif rate > 0.0:
+            sub[i - 1].append((rate, jump))
+    return MapCharacteristics(
+        intensity=lam, subordinator_jumps=tuple(map(tuple, sub)),
+        switch_jumps={ij: tuple(pairs) for ij, pairs in switch.items()})
 
 
 def jump_sizes(spec: FragmentationSpec) -> list[float]:
     """Distinct log-mass jump sizes the tagged fragment can take."""
-    sizes = set()
-    for i in range(1, spec.k + 1):
-        for atom in spec.atoms(i):
-            for mass, _ in atom.outcome.parts:
-                if mass < 1.0:
-                    sizes.add(-math.log(mass))
-    return sorted(sizes)
+    return sorted(set((-spec.row_log_mass[spec.row_mass < 1.0]).tolist()))

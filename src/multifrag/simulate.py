@@ -16,7 +16,9 @@ Three simulators share this law:
   -log mass) pair is the Markov additive pair the analysis is built on.
 
 ``mass_ensemble`` and ``tagged_ensemble`` are vectorized replica drivers
-for statistics that need large populations or many replicas.
+for statistics that need large populations or many replicas.  Every engine
+draws from the rates and selection tables compiled into the spec (see
+FragmentationSpec).
 """
 
 import heapq
@@ -29,10 +31,11 @@ import numpy as np
 from .errors import (
     DistinctErosionCoefficients,
     GroundSizeTooSmall,
+    InvalidArgument,
     NotConservative,
     ResourceCapExceeded,
 )
-from .measures import FragmentationSpec, validate_spec
+from .measures import FragmentationSpec
 from .paintbox import sample_paintbox
 from .partitions import (
     TypedBlockPartition,
@@ -154,17 +157,6 @@ class FragmentationPath:
         )
 
 
-def _atom_tables(spec: FragmentationSpec):
-    """Per-type total rate and cumulative atom weights for selection."""
-    rates = np.zeros(spec.k + 1)
-    cums = [None]
-    for i in range(1, spec.k + 1):
-        weights = np.array([a.weight for a in spec.atoms(i)])
-        rates[i] = weights.sum()
-        cums.append(np.cumsum(weights) / rates[i] if rates[i] > 0 else None)
-    return rates, cums
-
-
 def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
                                 rng: np.random.Generator, *,
                                 initial_type: int = 1,
@@ -178,10 +170,10 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     Atoms with dust send the missing mass to the tracked dust pool at the
     dislocation instant.
     """
-    validate_spec(spec)
+    spec.check_type(initial_type)
     if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    rates, cums = _atom_tables(spec)
+        raise InvalidArgument("t_max must be positive")
+    rates, cums = spec.type_rate, spec.atom_cum
     path = FragmentationPath(spec, initial_type, t_max, mass_floor)
     heap: list[tuple[float, int]] = []
 
@@ -203,7 +195,7 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
             break
         typ = path._type[fid]
         atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
-        atom = spec.atoms(typ)[atom_idx]
+        atom = spec.dislocation[typ - 1][atom_idx]
         parent_mass = path._mass[fid]
         path._close_fragment(fid, time)
         children = tuple(
@@ -276,10 +268,10 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     type are scheduled, which realizes the rule that atoms of mismatched
     type are non-events.
     """
-    validate_spec(spec)
+    spec.check_type(initial_type)
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
-    rates, cums = _atom_tables(spec)
+    rates, cums = spec.type_rate, spec.atom_cum
     blocks: dict[int, tuple[tuple[int, ...], int]] = {}
     heap: list[tuple[float, int]] = []
     next_uid = 0
@@ -301,7 +293,7 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
             break
         elems, typ = blocks.pop(uid)
         atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
-        outcome = spec.atoms(typ)[atom_idx].outcome
+        outcome = spec.dislocation[typ - 1][atom_idx].outcome
         local = sample_paintbox(outcome, len(elems), rng)
         for sub, sub_typ in local.blocks:
             add_block(tuple(elems[e - 1] for e in sub), sub_typ, time)
@@ -329,51 +321,49 @@ class TaggedPath:
         return len(self.times) - 1
 
 
-def _tagged_tables(spec: FragmentationSpec):
-    """Composite (atom, child) categorical per type.
-
-    Conditionally on a dislocation of a type-i fragment, the tagged point
-    lands in child n of atom a with probability (weight_a / w_i) * x_n;
-    conservativeness makes this a proper distribution.
-    """
-    rates = np.zeros(spec.k + 1)
-    cum, jump, new_type = [None], [None], [None]
-    for i in range(1, spec.k + 1):
-        w = spec.total_rate(i)
-        rates[i] = w
-        probs, jumps, types = [], [], []
-        for atom in spec.atoms(i):
-            for mass, typ in atom.outcome.parts:
-                probs.append(atom.weight * mass / w)
-                jumps.append(-math.log(mass))
-                types.append(typ)
-        cum.append(np.cumsum(probs) if probs else None)
-        jump.append(np.array(jumps))
-        new_type.append(np.array(types, dtype=np.int64))
-    return rates, cum, jump, new_type
-
-
 def simulate_tagged(spec: FragmentationSpec, t_max: float,
                     rng: np.random.Generator, *,
                     initial_type: int = 1) -> TaggedPath:
     """Path of the tagged pair (J, S) up to t_max; S_0 = 0."""
-    validate_spec(spec)
+    spec.check_type(initial_type)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
-    rates, cum, jump, new_type = _tagged_tables(spec)
+    rates, cum = spec.type_rate, spec.row_cum
     t, j, s = 0.0, initial_type, 0.0
     times, js, ss = [0.0], [initial_type], [0.0]
     while rates[j] > 0:
         t += rng.exponential(1.0 / rates[j])
         if t > t_max:
             break
-        idx = int(np.searchsorted(cum[j], rng.random(), side="right"))
-        s += float(jump[j][idx])
-        j = int(new_type[j][idx])
+        row = spec.type_rows[j] + int(
+            np.searchsorted(cum[j], rng.random(), side="right"))
+        s -= float(spec.row_log_mass[row])
+        j = int(spec.row_child[row])
         times.append(t)
         js.append(j)
         ss.append(s)
     return TaggedPath(times, js, ss)
+
+
+def _observation_times(times, n_replicas: int) -> np.ndarray:
+    """Sorted observation times of an ensemble run, checked with its size."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or not np.all(
+            (0.0 <= times) & (times < np.inf)):
+        raise InvalidArgument(f"need finite times >= 0, got {times.tolist()}")
+    if n_replicas < 1:
+        raise InvalidArgument(f"n_replicas = {n_replicas} < 1")
+    return np.sort(times)
+
+
+def _draw(cums, starts, types, u) -> np.ndarray:
+    """Index of the entry that each uniform u selects in the selection table
+    of its type, counted from the start of the whole table."""
+    index = np.empty(len(types), dtype=np.int64)
+    for i in range(1, len(cums)):
+        lanes = types == i
+        index[lanes] = starts[i] + np.searchsorted(cums[i], u[lanes], side="right")
+    return index
 
 
 def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
@@ -384,11 +374,10 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     replicas advance in lockstep from a single keyed stream, so results are
     reproducible for a fixed (seed, n_replicas).
     """
-    validate_spec(spec)
+    spec.check_type(initial_type)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
-    times = np.sort(np.asarray(times, dtype=float))
-    rates, cum, jump, new_type = _tagged_tables(spec)
+    times = _observation_times(times, n_replicas)
     rng = replica_stream(seed, 0)
     r = n_replicas
     t_cur = np.zeros(r)
@@ -399,7 +388,7 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     active = np.arange(r)
     horizon = times[-1]
     while active.size:
-        lane_rates = rates[j[active]]
+        lane_rates = spec.type_rate[j[active]]
         stuck = lane_rates <= 0
         dt = np.full(active.size, np.inf)
         dt[~stuck] = rng.exponential(1.0, int((~stuck).sum())) / lane_rates[~stuck]
@@ -412,37 +401,13 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
         cont = t_new <= horizon
         lanes = active[cont]
         if lanes.size:
-            u = rng.random(lanes.size)
-            j_before = j[lanes].copy()
-            for i in range(1, spec.k + 1):
-                m = j_before == i
-                if not m.any():
-                    continue
-                idx = np.searchsorted(cum[i], u[m], side="right")
-                s[lanes[m]] += jump[i][idx]
-                j[lanes[m]] = new_type[i][idx]
+            row = _draw(spec.row_cum, spec.type_rows, j[lanes],
+                        rng.random(lanes.size))
+            s[lanes] -= spec.row_log_mass[row]
+            j[lanes] = spec.row_child[row]
             t_cur[lanes] = t_new[cont]
         active = lanes
     return out_j, out_s
-
-
-def _flat_child_tables(spec: FragmentationSpec):
-    """Flattened (type, atom) -> children tables for the vector engine."""
-    counts, offsets, dust = [], [], []
-    frac_flat, type_flat = [], []
-    ta_offset = np.zeros(spec.k + 2, dtype=np.int64)
-    for i in range(1, spec.k + 1):
-        ta_offset[i + 1] = ta_offset[i] + len(spec.atoms(i))
-        for atom in spec.atoms(i):
-            offsets.append(len(frac_flat))
-            counts.append(len(atom.outcome.parts))
-            dust.append(atom.outcome.dust)
-            for mass, typ in atom.outcome.parts:
-                frac_flat.append(mass)
-                type_flat.append(typ)
-    return (ta_offset, np.array(counts, dtype=np.int64),
-            np.array(offsets, dtype=np.int64), np.array(dust),
-            np.array(frac_flat), np.array(type_flat, dtype=np.int64))
 
 
 def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
@@ -461,14 +426,11 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     results are reproducible for fixed seed and chunking.  Returns the
     per-replica dust mass shed by non-conservative atoms.
     """
-    validate_spec(spec)
-    times = np.sort(np.asarray(times, dtype=float))
+    spec.check_type(initial_type)
+    times = _observation_times(times, n_replicas)
+    if replica_chunk is not None and replica_chunk < 1:
+        raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
     horizon = float(times[-1])
-    rates, cums = _atom_tables(spec)
-    ta_offset, counts, offsets, dust_frac, frac_flat, type_flat = (
-        _flat_child_tables(spec))
-    atom_cums = [None] + [
-        (cums[i] if cums[i] is not None else None) for i in range(1, spec.k + 1)]
     dust_out = np.zeros(n_replicas)
     chunk = n_replicas if replica_chunk is None else int(replica_chunk)
     produced = 0
@@ -485,7 +447,7 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
                 raise ResourceCapExceeded(
                     f"more than {max_fragments} fragments grown; raise "
                     f"mass_floor or shorten the horizon")
-            lane_rates = rates[typ]
+            lane_rates = spec.type_rate[typ]
             frozen = mass < mass_floor
             can_split = ~frozen & (lane_rates > 0)
             split_t = np.full(rep.size, np.inf)
@@ -502,24 +464,18 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
                 break
             s_rep, s_mass, s_typ, s_time = (
                 rep[split], mass[split], typ[split], split_t[split])
-            u = rng.random(s_rep.size)
-            ta = np.empty(s_rep.size, dtype=np.int64)
-            for i in range(1, spec.k + 1):
-                m = s_typ == i
-                if not m.any():
-                    continue
-                ta[m] = ta_offset[i] + np.searchsorted(
-                    atom_cums[i], u[m], side="right")
-            shed = s_mass * dust_frac[ta]
+            ta = _draw(spec.atom_cum, spec.type_atoms, s_typ,
+                       rng.random(s_rep.size))
+            shed = s_mass * spec.atom_dust[ta]
             if shed.any():
                 np.add.at(dust_out, s_rep, shed)
-            lens = counts[ta]
+            lens = spec.atom_rows[ta]
             total = int(lens.sum())
             ends = np.cumsum(lens)
             gather = (np.arange(total) - np.repeat(ends - lens, lens)
-                      + np.repeat(offsets[ta], lens))
+                      + np.repeat(spec.atom_first_row[ta], lens))
             rep = np.repeat(s_rep, lens)
-            mass = np.repeat(s_mass, lens) * frac_flat[gather]
-            typ = type_flat[gather]
+            mass = np.repeat(s_mass, lens) * spec.row_mass[gather]
+            typ = spec.row_child[gather]
             birth = np.repeat(s_time, lens)
     return dust_out

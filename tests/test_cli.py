@@ -170,6 +170,17 @@ def test_bad_arguments_are_parse_errors(spec_b_file, argv, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("option", [["--replica-chunk", "0"],
+                                    ["--t-grid=-1,8"]],
+                         ids=["zero-chunk", "negative-time"])
+def test_bad_ensemble_arguments_are_usage_errors(tmp_path, option, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    argv = ["ldcount", "--spec", str(path), "--seed", "1", "--replicas", "5"]
+    assert main(argv + option) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
 # --- outputs ------------------------------------------------------------------------
 
 def test_write_rows_prints_numpy_scalars_as_plain_floats(tmp_path):

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifrag import (
+    DislocationAtom,
+    FragmentationSpec,
     bernstein_matrix,
+    build_typed_mass_partition,
     fragmentation_spec,
     intensity_matrix,
     jump_sizes,
@@ -13,9 +18,14 @@ from multifrag import (
     validate_spec,
 )
 from multifrag.errors import NotConservative, SpecValidationError, ThetaOutOfDomain
+from multifrag.measures import bernstein_matrices
 from conftest import random_conservative_spec
 
 LN2 = math.log(2.0)
+
+random_specs = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_conservative_spec(np.random.default_rng(seed)))
+property_settings = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 # --- validation -----------------------------------------------------------------
@@ -67,6 +77,22 @@ def test_outcome_type_beyond_k():
     with pytest.raises(SpecValidationError) as err:
         fragmentation_spec(1, {1: [(1.0, [(0.5, 1), (0.5, 2)])]})
     assert "TypeOutOfRange" in err.value.codes()
+
+
+@pytest.mark.parametrize("key", [0, 3, "1"])
+def test_dislocation_key_outside_types_rejected(key):
+    halves = [(1.0, [(0.5, 1), (0.5, 2)])]
+    with pytest.raises(SpecValidationError) as err:
+        fragmentation_spec(2, {1: halves, 2: halves, key: halves})
+    assert err.value.codes() == ["TypeOutOfRange"]
+
+
+def test_invalid_spec_cannot_be_constructed():
+    halves = build_typed_mass_partition([(0.5, 1), (0.5, 1)])
+    with pytest.raises(SpecValidationError) as err:
+        FragmentationSpec(k=1, erosion=(0.0,), conservative=True,
+                          dislocation=((DislocationAtom(-1.0, halves),),))
+    assert err.value.codes() == ["NonpositiveWeight"]
 
 
 # --- intensity matrix -------------------------------------------------------------
@@ -145,7 +171,6 @@ def test_characteristics_spec_b(spec_b):
     assert mc.subordinator_jumps == ((), ())
     for th in (0.0, 0.5, 2.0):
         assert mc.psi(1, th) == 0.0
-    assert mc.switch_prob[0, 1] == 1.0 and mc.switch_prob[1, 0] == 1.0
     jumps = mc.switch_jumps[(1, 2)]
     assert sum(p for p, _ in jumps) == pytest.approx(1.0)
     assert all(jump == pytest.approx(LN2) for _, jump in jumps)
@@ -194,3 +219,58 @@ def test_psi_is_a_nonnegative_increasing_exponent(spec_c):
 def test_jump_sizes(spec_a, spec_c):
     assert jump_sizes(spec_a) == [pytest.approx(LN2)]
     assert len(jump_sizes(spec_c)) == 5
+
+
+# --- the compiled table against a walk over the atoms -----------------------------
+
+def _walk_matrices(spec, theta):
+    """Lambda, Phi(theta), Phi'(theta) and Phi''(theta), atom by atom."""
+    lam, phi, d1, d2 = (np.zeros((spec.k, spec.k)) for _ in range(4))
+    for i in range(1, spec.k + 1):
+        for atom in spec.atoms(i):
+            lam[i - 1, i - 1] -= atom.weight
+            phi[i - 1, i - 1] += atom.weight
+            for mass, typ in atom.outcome.parts:
+                lam[i - 1, typ - 1] += atom.weight * mass
+                term = atom.weight * mass ** (1.0 + theta)
+                log_mass = math.log(mass)
+                phi[i - 1, typ - 1] -= term
+                d1[i - 1, typ - 1] -= term * log_mass
+                d2[i - 1, typ - 1] -= term * log_mass * log_mass
+    return lam, phi, d1, d2
+
+
+def _walk_jumps(spec, lam):
+    """Subordinator jumps and switch-jump laws, atom by atom."""
+    sub = [[] for _ in range(spec.k)]
+    switch = {}
+    for i in range(1, spec.k + 1):
+        for atom in spec.atoms(i):
+            for mass, typ in atom.outcome.parts:
+                pair = (atom.weight * mass, -math.log(mass))
+                if typ == i:
+                    sub[i - 1].append(pair)
+                else:
+                    switch.setdefault((i, typ), []).append(pair)
+    laws = {(i, j): tuple((rate / lam[i - 1, j - 1], jump)
+                          for rate, jump in pairs)
+            for (i, j), pairs in switch.items()}
+    return tuple(map(tuple, sub)), laws
+
+
+@property_settings
+@given(spec=random_specs, theta=st.floats(-0.9, 20.0))
+def test_compiled_matrices_match_atom_walk(spec, theta):
+    lam, *walk = _walk_matrices(spec, theta)
+    assert np.array_equal(intensity_matrix(spec), lam)
+    for got, want in zip(bernstein_matrices(spec, theta), walk):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@property_settings
+@given(spec=random_specs)
+def test_compiled_characteristics_match_atom_walk(spec):
+    mc = map_characteristics(spec)
+    sub, laws = _walk_jumps(spec, intensity_matrix(spec))
+    assert mc.subordinator_jumps == sub
+    assert mc.switch_jumps == laws

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from multifrag import (
@@ -9,22 +11,38 @@ from multifrag import (
     asymptotic_frequencies,
     bernstein_matrix,
     build_typed_mass_partition,
+    frag,
     fragmentation_spec,
     mass_ensemble,
     matrix_exponential,
     one_block_partition,
+    restrict,
+    sample_paintbox,
     simulate_mass_fragmentation,
     simulate_partition_fragmentation,
     simulate_tagged,
     tagged_ensemble,
 )
+from multifrag import simulate as simulate_module
 from multifrag.errors import (
     DistinctErosionCoefficients,
     GroundSizeTooSmall,
+    InvalidArgument,
+    MultifragError,
     NotConservative,
     ResourceCapExceeded,
+    TypeOutOfRange,
 )
 from multifrag.streams import replica_stream
+from conftest import random_conservative_spec
+
+random_specs = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_conservative_spec(np.random.default_rng(seed)))
+property_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _ignore(ti, rep, mass, typ, frozen):
+    pass
 
 LN2 = math.log(2.0)
 
@@ -384,3 +402,108 @@ def test_mass_ensemble_tracks_dust():
     # replicas with no dislocation by t have no dust yet
     assert (dust > 0).mean() > 0.5
     assert np.allclose(hold[0, :, 0, 0] + dust, 1.0, atol=1e-9)
+
+
+# --- argument checks shared by the engines ----------------------------------------
+
+ENGINES = {
+    "heap": lambda spec, typ: simulate_mass_fragmentation(
+        spec, 1.0, replica_stream(30, 0), initial_type=typ),
+    "partition": lambda spec, typ: simulate_partition_fragmentation(
+        spec, 4, 1.0, replica_stream(30, 0), initial_type=typ),
+    "tagged": lambda spec, typ: simulate_tagged(
+        spec, 1.0, replica_stream(30, 0), initial_type=typ),
+    "tagged_ensemble": lambda spec, typ: tagged_ensemble(
+        spec, [1.0], 5, 30, initial_type=typ),
+    "mass_ensemble": lambda spec, typ: mass_ensemble(
+        spec, [1.0], 5, 30, _ignore, initial_type=typ),
+    "atoms": lambda spec, typ: spec.atoms(typ),
+    "total_rate": lambda spec, typ: spec.total_rate(typ),
+}
+
+
+@pytest.mark.parametrize("typ", [0, 3])
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_initial_type_outside_types_rejected(spec_b, engine, typ):
+    with pytest.raises(TypeOutOfRange):
+        ENGINES[engine](spec_b, typ)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: mass_ensemble(spec, [], 5, 31, _ignore),
+    lambda spec: mass_ensemble(spec, [-1.0, 1.0], 5, 31, _ignore),
+    lambda spec: mass_ensemble(spec, [1.0], 0, 31, _ignore),
+    lambda spec: mass_ensemble(spec, [1.0], 5, 31, _ignore, replica_chunk=0),
+    lambda spec: tagged_ensemble(spec, [], 5, 31),
+    lambda spec: tagged_ensemble(spec, [-1.0], 5, 31),
+    lambda spec: tagged_ensemble(spec, [math.nan], 5, 31),
+    lambda spec: tagged_ensemble(spec, [1.0], 0, 31),
+], ids=["mass-no-times", "mass-negative-time", "mass-no-replicas",
+        "mass-zero-chunk", "tagged-no-times", "tagged-negative-time",
+        "tagged-nan-time", "tagged-no-replicas"])
+def test_ensemble_arguments_checked(spec_c, call):
+    with pytest.raises(InvalidArgument) as err:
+        call(spec_c)
+    assert isinstance(err.value, MultifragError)
+    assert isinstance(err.value, ValueError)
+
+
+class _TopUniform:
+    """Generator stub: every exponential draw is 0.25 and every uniform
+    draw is 1 - 2^-53, the largest value Generator.random returns."""
+
+    def exponential(self, scale=1.0, size=None):
+        return 0.25 if size is None else np.full(size, 0.25)
+
+    def random(self, size=None):
+        top = 1.0 - 2.0 ** -53
+        return top if size is None else np.full(size, top)
+
+
+@pytest.mark.parametrize("engine", ["tagged", "tagged_ensemble"])
+def test_tagged_engines_take_the_top_uniform(monkeypatch, engine):
+    # a one-type model whose cumulative weight * mass / rate sums to 1 - 2^-53
+    spec = random_conservative_spec(np.random.default_rng(30))
+    raw = np.cumsum(spec.row_weight * spec.row_mass / spec.total_rate(1))
+    assert spec.k == 1 and raw[-1] == 1.0 - 2.0 ** -53
+    last_jump = -spec.row_log_mass[-1]
+    if engine == "tagged":
+        path = simulate_tagged(spec, 1.0, _TopUniform())
+        s = np.array(path.s_values[1:])
+        assert path.n_jumps == 4
+    else:
+        monkeypatch.setattr(simulate_module, "replica_stream",
+                            lambda seed, r: _TopUniform())
+        _, s = tagged_ensemble(spec, [1.0], 3, 32)
+    # every jump lands in the last child of the last atom
+    assert np.allclose(s / last_jump, np.round(s / last_jump))
+    assert np.all(s > 0)
+
+
+# --- properties over random conservative models --------------------------------------
+
+@property_settings
+@given(spec=random_specs, seed=st.integers(0, 2 ** 32 - 1))
+def test_heap_events_conserve_mass(spec, seed):
+    path = simulate_mass_fragmentation(spec, 3.0, replica_stream(seed, 0),
+                                       mass_floor=1e-3)
+    for ev in path.events:
+        parent = path.fragment(ev.parent).mass
+        children = sum(path.fragment(c).mass for c in ev.children)
+        assert abs(children - parent) <= 1e-12 * parent
+
+
+@property_settings
+@given(spec=random_specs, seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 10), t=st.floats(0.1, 3.0))
+def test_frag_restrict_compatible_on_engine_states(spec, seed, n, t):
+    # a partition-engine state, split by paintbox samples of the model's atoms
+    rng = replica_stream(seed, 0)
+    pi = simulate_partition_fragmentation(spec, n, t, rng).at(t)
+    atoms = [a for i in range(1, spec.k + 1) for a in spec.atoms(i)]
+    splitters = [sample_paintbox(atoms[int(rng.integers(len(atoms)))].outcome,
+                                 n, rng) for _ in pi.blocks]
+    for m in range(1, n + 1):
+        small = restrict(pi, range(1, m + 1))
+        assert (restrict(frag(pi, splitters), range(1, m + 1))
+                == frag(small, splitters[:len(small.blocks)]))
