@@ -51,8 +51,9 @@ print(f"\nwith erosion 0.3: mass left = {s.total_mass():.4f} "
 # --- partition-valued path on {1..12} -------------------------------------------
 ppath = simulate_partition_fragmentation(spec, 12, 2.0, replica_stream(7, 2))
 print("\npartition path on {1..12}:")
-for t, state in list(zip(ppath.times, ppath.states))[:4]:
-    shown = ", ".join(f"{set(elems)}:{typ}" for elems, typ in state.blocks)
+for t in ppath.times[:4]:
+    shown = ", ".join(f"{set(elems)}:{typ}"
+                      for elems, typ in ppath.at(t).blocks)
     print(f"  t = {t:.3f}: {shown}")
 print("block frequencies at t = 2:",
       asymptotic_frequencies(ppath.at(2.0)).parts)

@@ -74,7 +74,7 @@ from .spectral import (
     phi_derivatives,
     theta_bar,
 )
-from .streams import replica_stream, spawn_streams, stream
+from .streams import replica_stream
 
 __version__ = "0.1.0"
 

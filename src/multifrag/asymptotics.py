@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     InvalidWindow,
     LatticeJumpSizes,
     NotIrreducible,
@@ -66,7 +67,7 @@ def biggins_martingale(snapshot: Snapshot, sd: SpectralData, *,
 def lln_statistic(snapshot: Snapshot, f) -> float:
     """sum_n X_n f(t^-1 log X_n, T_n); converges to sum_j u_j f(-phi'(0), j)."""
     if snapshot.t <= 0:
-        raise ValueError("need t > 0 to rescale")
+        raise InvalidArgument("need t > 0 to rescale")
     y = np.log(snapshot.masses) / snapshot.t
     return float(np.sum(snapshot.masses * f(y, snapshot.types)))
 
@@ -74,7 +75,7 @@ def lln_statistic(snapshot: Snapshot, f) -> float:
 def clt_statistic(snapshot: Snapshot, f, drift: float) -> float:
     """sum_n X_n f(t^-1/2 (log X_n + drift t), T_n) with drift = phi'(0)."""
     if snapshot.t <= 0:
-        raise ValueError("need t > 0 to rescale")
+        raise InvalidArgument("need t > 0 to rescale")
     y = (np.log(snapshot.masses) + drift * snapshot.t) / math.sqrt(snapshot.t)
     return float(np.sum(snapshot.masses * f(y, snapshot.types)))
 
@@ -105,7 +106,7 @@ def largest_fragment_rates(path: FragmentationPath, t: float,
                            k: int | None = None) -> LargestFragmentRates:
     """Observed decay rates of the largest fragment at time t."""
     if t <= 0:
-        raise ValueError("need t > 0")
+        raise InvalidArgument("need t > 0")
     snap = path.snapshot(t) if isinstance(path, FragmentationPath) else path
     if k is None:
         k = snap.types.max() if snap.types.size else 1
@@ -127,7 +128,7 @@ def ld_predicted_shape(t: float, theta: float, a: float, b: float,
     if a >= b:
         raise InvalidWindow(f"need a < b, got a = {a}, b = {b}")
     if sd.phi_d1 is None:
-        raise ValueError("spectral data must carry phi_d1")
+        raise InvalidArgument("spectral data must carry phi_d1")
     uj = 1.0 if j is None else float(sd.u[j - 1])
     return (uj / math.sqrt(t)
             * math.exp(t * ((theta + 1.0) * sd.phi_d1 - sd.phi))
@@ -153,7 +154,7 @@ def ld_count(snapshot: Snapshot, theta: float, a: float, b: float,
 def ld_window_exponent(sd: SpectralData) -> float:
     """Growth rate (theta+1) phi'(theta) - phi(theta) of window counts."""
     if sd.phi_d1 is None:
-        raise ValueError("spectral data must carry phi_d1")
+        raise InvalidArgument("spectral data must carry phi_d1")
     return (sd.theta + 1.0) * sd.phi_d1 - sd.phi
 
 
@@ -185,7 +186,7 @@ def make_test_function(kind: str, center: float = 0.0, width: float = 1.0,
                   type_index: int | None = None):
     """f(y, types) = g(y) 1{type = type_index}, g from the built-in family."""
     if kind not in _FAMILY:
-        raise ValueError(f"unknown test function {kind!r}; pick from "
+        raise InvalidArgument(f"unknown test function {kind!r}; pick from "
                          f"{sorted(_FAMILY)}")
     g = _FAMILY[kind](center, width)
 
@@ -228,7 +229,7 @@ def gaussian_limit(f, u: np.ndarray, variance: float, *,
                    span: float = 12.0) -> float:
     """sum_j u_j E f(N(0, variance), j), the central-limit reference value."""
     if variance < 0:
-        raise ValueError(f"variance {variance} < 0")
+        raise InvalidArgument(f"variance {variance} < 0")
     total = 0.0
     for j, uj in enumerate(np.asarray(u), start=1):
         if variance == 0.0:

@@ -8,6 +8,7 @@ component that caught a single label, by the singleton convention).
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .partitions import TypedBlockPartition, TypedMassPartition, typed_block_partition
 
 
@@ -19,20 +20,21 @@ def sample_paintbox(x: TypedMassPartition, n: int,
                     rng: np.random.Generator) -> TypedBlockPartition:
     """Sample the paintbox based on x, restricted to {1..n}."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     cum = _cumulative_masses(x)
     # label == len(parts) means the dust
     labels = np.searchsorted(cum, rng.random(n), side="right")
+    # a stable sort keeps each component's labels in increasing order
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
     blocks = []
-    groups: dict[int, list[int]] = {}
-    for elem, lab in enumerate(labels, start=1):
+    for elems in np.split(order + 1, cuts):
+        lab = labels[elems[0] - 1]
         if lab == len(x.parts):
-            blocks.append(((elem,), 0))
+            blocks.extend(((e,), 0) for e in elems.tolist())
         else:
-            groups.setdefault(int(lab), []).append(elem)
-    for lab, elems in groups.items():
-        typ = x.parts[lab][1] if len(elems) >= 2 else 0
-        blocks.append((tuple(elems), typ))
+            typ = x.parts[lab][1] if len(elems) >= 2 else 0
+            blocks.append((tuple(elems.tolist()), typ))
     return typed_block_partition(n, blocks)
 
 

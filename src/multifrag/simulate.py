@@ -9,9 +9,9 @@ sample the mismatched-type atoms that the Poisson picture discards.
 
 Three simulators share this law:
 
-* ``simulate_mass_fragmentation`` keeps the full event record of one path;
-* ``simulate_partition_fragmentation`` runs the partition-valued chain on
-  {1..n}, splitting blocks with fresh paintbox samples;
+* ``simulate_mass_fragmentation`` and ``simulate_partition_fragmentation``
+  store each fragment, or each block of {1..n} cut by a paintbox sample,
+  once with its lifetime [birth, end), and build states on demand;
 * ``simulate_tagged`` follows only the tagged fragment, whose (type,
   -log mass) pair is the Markov additive pair the analysis is built on.
 
@@ -41,12 +41,17 @@ from .partitions import (
     TypedBlockPartition,
     TypedMassPartition,
     build_typed_mass_partition,
-    one_block_partition,
     typed_block_partition,
 )
 from .streams import replica_stream
 
 DEFAULT_MASS_FLOOR = 1e-9
+
+
+def _check_time(t: float, t_max: float) -> None:
+    """Reject a query time outside the run, [0, t_max]."""
+    if not 0.0 <= t <= t_max:
+        raise InvalidArgument(f"t = {t} outside [0, {t_max}]")
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,6 @@ class FragmentationPath:
         self._frozen.append(frozen)
         return len(self._mass) - 1
 
-    def _close_fragment(self, fid, time) -> None:
-        self._end[fid] = time
-
     def _add_dust(self, time, amount) -> None:
         self._dust_times.append(time)
         self._dust_values.append(self._dust_values[-1] + amount)
@@ -144,8 +146,7 @@ class FragmentationPath:
         return self._dust_values[idx]
 
     def snapshot(self, t: float) -> Snapshot:
-        if not 0.0 <= t <= self.t_max:
-            raise ValueError(f"t = {t} outside [0, {self.t_max}]")
+        _check_time(t, self.t_max)
         alive = [f for f in range(self.n_fragments)
                  if self._birth[f] <= t < self._end[f]]
         return Snapshot(
@@ -197,7 +198,7 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
         atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
         atom = spec.dislocation[typ - 1][atom_idx]
         parent_mass = path._mass[fid]
-        path._close_fragment(fid, time)
+        path._end[fid] = time
         children = tuple(
             spawn(parent_mass * m, i, fid, time) for m, i in atom.outcome.parts)
         path.events.append(Event(time=time, parent=fid, atom_index=atom_idx,
@@ -244,17 +245,22 @@ def apply_erosion(path: FragmentationPath, c: float | None = None) -> ErodedPath
 
 
 class PartitionPath:
-    """Piecewise-constant record of a partition-valued run."""
+    """Record of a partition-valued run on {1..n}: each block (elements,
+    type, birth) once, with its split time in ``_end`` (+inf if it never
+    split).  ``times`` lists the event times, starting with 0.0."""
 
-    def __init__(self, times, states):
-        self.times = times
-        self.states = states
+    def __init__(self, n, t_max):
+        self.n = n
+        self.t_max = t_max
+        self.times = [0.0]
+        self._blocks: list[tuple[tuple[int, ...], int, float]] = []
+        self._end: list[float] = []
 
     def at(self, t: float) -> TypedBlockPartition:
-        idx = bisect_right(self.times, t) - 1
-        if idx < 0:
-            raise ValueError(f"t = {t} before the initial state")
-        return self.states[idx]
+        _check_time(t, self.t_max)
+        return typed_block_partition(self.n, [
+            (elems, typ) for (elems, typ, birth), end
+            in zip(self._blocks, self._end) if birth <= t < end])
 
 
 def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
@@ -272,48 +278,44 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
     rates, cums = spec.type_rate, spec.atom_cum
-    blocks: dict[int, tuple[tuple[int, ...], int]] = {}
+    path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
-    next_uid = 0
 
     def add_block(elems, typ, birth):
-        nonlocal next_uid
-        uid = next_uid
-        next_uid += 1
-        blocks[uid] = (elems, typ)
+        uid = len(path._blocks)
+        path._blocks.append((elems, typ, birth))
+        path._end.append(math.inf)
         if typ != 0 and rates[typ] > 0:
             heapq.heappush(heap, (birth + rng.exponential(1.0 / rates[typ]), uid))
 
     add_block(tuple(range(1, n + 1)), initial_type, 0.0)
-    times = [0.0]
-    states = [one_block_partition(n, initial_type)]
     while heap:
         time, uid = heapq.heappop(heap)
         if time > t_max:
             break
-        elems, typ = blocks.pop(uid)
+        path._end[uid] = time
+        elems, typ, _ = path._blocks[uid]
         atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
         outcome = spec.dislocation[typ - 1][atom_idx].outcome
         local = sample_paintbox(outcome, len(elems), rng)
         for sub, sub_typ in local.blocks:
             add_block(tuple(elems[e - 1] for e in sub), sub_typ, time)
-        times.append(time)
-        states.append(typed_block_partition(n, blocks.values()))
-    return PartitionPath(times, states)
+        path.times.append(time)
+    return path
 
 
 class TaggedPath:
     """Piecewise-constant record of the tagged pair (J, S)."""
 
-    def __init__(self, times, j_values, s_values):
+    def __init__(self, times, j_values, s_values, t_max):
         self.times = times
         self.j_values = j_values
         self.s_values = s_values
+        self.t_max = t_max
 
     def at(self, t: float) -> tuple[int, float]:
+        _check_time(t, self.t_max)
         idx = bisect_right(self.times, t) - 1
-        if idx < 0:
-            raise ValueError(f"t = {t} before the start")
         return self.j_values[idx], self.s_values[idx]
 
     @property
@@ -342,7 +344,7 @@ def simulate_tagged(spec: FragmentationSpec, t_max: float,
         times.append(t)
         js.append(j)
         ss.append(s)
-    return TaggedPath(times, js, ss)
+    return TaggedPath(times, js, ss, t_max)
 
 
 def _observation_times(times, n_replicas: int) -> np.ndarray:

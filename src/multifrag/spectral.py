@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     MaximumAtBracketEdge,
     NoConvergence,
     NormTooLarge,
@@ -53,9 +54,9 @@ def matrix_exponential(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     """e^(tM) by scaling and squaring of a truncated Taylor series."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
+        raise InvalidArgument("need a square matrix")
     if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} beyond supported {MAX_DIM}")
+        raise InvalidArgument(f"dimension {m.shape[0]} beyond supported {MAX_DIM}")
     a = t * m
     norm = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
     if norm > MAX_NORM:

@@ -7,23 +7,16 @@ many other replicas ran, or in which order.
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 _MASK64 = (1 << 64) - 1
-
-
-def stream(seed: int) -> np.random.Generator:
-    """Root stream for a run."""
-    return replica_stream(seed, 0)
 
 
 def replica_stream(seed: int, replica: int) -> np.random.Generator:
     """Stream for one replica, derived from (seed, replica) only."""
     if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must fit in 64 bits")
+        raise InvalidArgument("seed must fit in 64 bits")
     if replica < 0:
-        raise ValueError("replica index must be nonnegative")
+        raise InvalidArgument("replica index must be nonnegative")
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
-    return [replica_stream(seed, r) for r in range(n)]

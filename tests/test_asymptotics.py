@@ -7,6 +7,7 @@ from multifrag import (
     Snapshot,
     adaptive_simpson,
     bernstein_matrix,
+    build_typed_mass_partition,
     biggins_martingale,
     bump,
     clt_statistic,
@@ -22,6 +23,7 @@ from multifrag import (
     lln_statistic,
     matrix_exponential,
     perron_eigen,
+    sample_paintbox,
     sigmoid,
     simulate_mass_fragmentation,
     stationary_distribution,
@@ -30,6 +32,7 @@ from multifrag import (
     theta_bar,
 )
 from multifrag.errors import (
+    InvalidArgument,
     InvalidWindow,
     LatticeJumpSizes,
     NotIrreducible,
@@ -306,3 +309,33 @@ def test_lattice_detection(spec_a, spec_b, spec_c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not lattice_check(spec_c)
+
+
+# --- argument errors ------------------------------------------------------------------------
+
+AT_ZERO = Snapshot(t=0.0, masses=np.array([1.0]), types=np.array([1]),
+                   frozen=np.array([False]), dust=0.0)
+BAD_ARGUMENTS = {
+    "paintbox-no-labels": lambda spec: sample_paintbox(
+        build_typed_mass_partition([(1.0, 1)]), 0, replica_stream(60, 0)),
+    "lln-at-zero": lambda spec: lln_statistic(AT_ZERO, bump(0.0, 1.0)),
+    "clt-at-zero": lambda spec: clt_statistic(AT_ZERO, bump(0.0, 1.0), 0.0),
+    "largest-at-zero": lambda spec: largest_fragment_rates(AT_ZERO, 0.0),
+    "shape-without-phi-d1": lambda spec: ld_predicted_shape(
+        1.0, 0.5, 0.5, 2.0, None, perron_eigen(spec, 0.5)),
+    "exponent-without-phi-d1": lambda spec: ld_window_exponent(
+        perron_eigen(spec, 0.5)),
+    "unknown-test-function": lambda spec: make_test_function("triangle"),
+    "negative-variance": lambda spec: gaussian_limit(
+        bump(0.0, 1.0), np.array([1.0]), -1.0),
+    "expm-not-square": lambda spec: matrix_exponential(np.zeros((2, 3))),
+    "expm-too-large": lambda spec: matrix_exponential(np.zeros((65, 65))),
+    "negative-seed": lambda spec: replica_stream(-1, 0),
+    "negative-replica": lambda spec: replica_stream(0, -1),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_ARGUMENTS))
+def test_bad_library_arguments_raise_invalid_argument(spec_c, call):
+    with pytest.raises(InvalidArgument):
+        BAD_ARGUMENTS[call](spec_c)

@@ -181,6 +181,15 @@ def test_bad_ensemble_arguments_are_usage_errors(tmp_path, option, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
 
 
+@pytest.mark.parametrize("command", ["simulate", "partition", "martingale"])
+@pytest.mark.parametrize("times", ["-1,2", "2,nan"])
+def test_times_outside_the_run_are_usage_errors(spec_b_file, command, times,
+                                                 capsys):
+    assert main([command, "--spec", spec_b_file, "--seed", "1",
+                 "--times=" + times]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
 # --- outputs ------------------------------------------------------------------------
 
 def test_write_rows_prints_numpy_scalars_as_plain_floats(tmp_path):

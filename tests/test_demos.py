@@ -1,0 +1,23 @@
+"""The demos run to completion against the current library.
+
+``demo_limits_and_counts.py`` is left out because it takes about 40 s,
+close to the rest of the suite together.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["demo_simulation.py",
+                                  "demo_model_and_spectral.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from multifrag import (
@@ -13,6 +15,34 @@ from multifrag import (
     typed_block_partition,
 )
 from multifrag.streams import replica_stream
+
+
+def _reference_paintbox(x, n, rng):
+    """The per-label loop the vectorized sampler replaced; same draws."""
+    cum = np.cumsum([m for m, _ in x.parts])
+    labels = np.searchsorted(cum, rng.random(n), side="right")
+    blocks, groups = [], {}
+    for elem, lab in enumerate(labels, start=1):
+        if lab == len(x.parts):
+            blocks.append(((elem,), 0))
+        else:
+            groups.setdefault(int(lab), []).append(elem)
+    for lab, elems in groups.items():
+        blocks.append((tuple(elems), x.parts[lab][1] if len(elems) >= 2 else 0))
+    return typed_block_partition(n, blocks)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(1, 3)),
+                      max_size=5),
+       dust=st.floats(0.0, 0.9), n=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampler_matches_per_label_reference(pairs, dust, n, seed):
+    total = sum(m for m, _ in pairs)
+    x = build_typed_mass_partition(
+        [(m * (1.0 - dust) / total, i) for m, i in pairs])
+    assert (sample_paintbox(x, n, replica_stream(seed, 0))
+            == _reference_paintbox(x, n, replica_stream(seed, 0)))
 
 
 def test_degenerate_single_component():

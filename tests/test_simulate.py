@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from multifrag import (
     simulate_partition_fragmentation,
     simulate_tagged,
     tagged_ensemble,
+    typed_block_partition,
 )
 from multifrag import simulate as simulate_module
 from multifrag.errors import (
@@ -173,8 +176,8 @@ def test_partition_first_event_split_probability(spec_a):
     for r in range(reps):
         path = simulate_partition_fragmentation(spec_a, 2, 50.0,
                                                 replica_stream(11, r))
-        first = path.states[1]
-        assert len(path.states) >= 2
+        assert len(path.times) >= 2
+        first = path.at(path.times[1])
         if len(first.blocks) == 2:
             split += 1
     se = math.sqrt(0.25 / reps)
@@ -217,6 +220,71 @@ def test_partition_largest_block_matches_largest_mass_law(spec_b):
                       np.bincount(gen_mass, minlength=top_gen + 1)])
     keep = table.sum(axis=0) >= 10
     assert stats.chi2_contingency(table[:, keep]).pvalue > 0.01
+
+
+def _reference_partition_run(spec, n, t_max, rng):
+    """The partition engine as a full validated state after every event:
+    the reference for the block-lifetime record.  Same draws, same order."""
+    rates, cums = spec.type_rate, spec.atom_cum
+    blocks, heap, uids = {}, [], itertools.count()
+
+    def add_block(elems, typ, birth):
+        uid = next(uids)
+        blocks[uid] = (elems, typ)
+        if typ != 0 and rates[typ] > 0:
+            heapq.heappush(heap, (birth + rng.exponential(1.0 / rates[typ]), uid))
+
+    times, states = [0.0], [one_block_partition(n, 1)]
+    add_block(tuple(range(1, n + 1)), 1, 0.0)
+    while heap and heap[0][0] <= t_max:
+        time, uid = heapq.heappop(heap)
+        elems, typ = blocks.pop(uid)
+        atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
+        local = sample_paintbox(spec.dislocation[typ - 1][atom_idx].outcome,
+                                len(elems), rng)
+        for sub, sub_typ in local.blocks:
+            add_block(tuple(elems[e - 1] for e in sub), sub_typ, time)
+        times.append(time)
+        states.append(typed_block_partition(n, blocks.values()))
+    return times, states
+
+
+@property_settings
+@given(spec=random_specs, seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 40), t_max=st.floats(0.1, 3.0))
+def test_partition_record_matches_per_event_states(spec, seed, n, t_max):
+    path = simulate_partition_fragmentation(spec, n, t_max,
+                                            replica_stream(seed, 0))
+    times, states = _reference_partition_run(spec, n, t_max,
+                                             replica_stream(seed, 0))
+    assert path.times == times
+    for tau, state in zip(times, states):
+        assert path.at(tau) == state
+    assert path.at(t_max) == states[-1]
+
+
+# --- queries outside the run ----------------------------------------------------------
+
+RECORDS = {
+    "mass": lambda spec: simulate_mass_fragmentation(
+        spec, 2.0, replica_stream(33, 0)).snapshot,
+    "eroded": lambda spec: apply_erosion(simulate_mass_fragmentation(
+        spec, 2.0, replica_stream(33, 0))).snapshot,
+    "partition": lambda spec: simulate_partition_fragmentation(
+        spec, 8, 2.0, replica_stream(33, 1)).at,
+    "tagged": lambda spec: simulate_tagged(
+        spec, 2.0, replica_stream(33, 2)).at,
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS))
+def test_records_reject_times_outside_the_run(spec_c, record):
+    ask, t_max = RECORDS[record](spec_c), 2.0
+    ask(0.0)
+    ask(t_max)
+    for t in (-1.0, t_max + 1.0, math.nan):
+        with pytest.raises(InvalidArgument):
+            ask(t)
 
 
 # --- tagged paths ----------------------------------------------------------------------
