@@ -10,12 +10,12 @@ Exit codes: 0 ok, 2 parse/usage, 3 model validation, 4 numeric failure,
 """
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -152,8 +152,8 @@ def _resolve_seed(args, spec) -> int:
     """Check the arguments shared by seeded subcommands; return the seed."""
     if getattr(args, "replicas", 1) < 1:
         raise ParseError("--replicas must be at least 1")
-    if getattr(args, "t", 1.0) <= 0:
-        raise ParseError("--t must be positive")
+    if not 0 < getattr(args, "t", 1.0) < math.inf:
+        raise ParseError("--t must be positive and finite")
     if not 1 <= args.initial_type <= spec.k:
         raise ParseError(
             f"--initial-type {args.initial_type} outside 1..{spec.k}")
@@ -177,19 +177,53 @@ def _open_out(args):
     return open(args.out, "w", newline=""), True
 
 
-def _write_rows(args, header, rows):
+def _csv_cells(column):
+    """The text of one column's cells: a float as its plain repr, an int as
+    its decimal digits, a string as it is (no cell needs CSV quoting).  A
+    column is a float64 or int64 array, or a list whose cells are all floats
+    (numpy floats included), all ints or all strings; any other column
+    raises TypeError rather than print different text.
+
+    Numbers are formatted once per distinct value and their cells share the
+    text: simulated masses are products of a few atom masses and repeat
+    (on the two-type demo model about 2% of a ``simulate`` table's masses
+    are distinct), so this saves both time and memory."""
+    if isinstance(column, np.ndarray):
+        kinds = {column.dtype.type}
+    else:
+        kinds = set(map(type, column))
+        if kinds <= {str}:
+            return column
+    if kinds <= {float, np.float64}:
+        column, fmt = np.asarray(column, dtype=np.float64), repr
+    elif kinds <= {int, np.int64}:
+        column, fmt = np.asarray(column, dtype=np.int64), str
+    else:
+        raise TypeError("cannot write a column of "
+                        + ", ".join(sorted(k.__name__ for k in kinds)))
+    # floats are keyed by bit pattern, so 0.0 and -0.0 keep their own text
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = list(map(fmt, distinct.view(column.dtype).tolist()))
+    return list(map(text.__getitem__, index.tolist()))
+
+
+def _write_rows(args, header, columns):
+    """Write a table given as one column per header entry (see _csv_cells),
+    as CSV lines or as a JSON list of row objects."""
     fh, close = _open_out(args)
     try:
         if args.format == "json":
-            doc = [dict(zip(header, row)) for row in rows]
-            json.dump(doc, fh, sort_keys=True)
+            rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col
+                         for col in columns])
+            json.dump([dict(zip(header, row)) for row in rows], fh,
+                      sort_keys=True)
             fh.write("\n")
         else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) if isinstance(v, float)
-                                 else v for v in row])
+            fh.write(",".join(header) + "\n")
+            lines = map(",".join, zip(*map(_csv_cells, columns)))
+            # a few thousand lines per write keep memory flat on large tables
+            while block := list(islice(lines, 4096)):
+                fh.write("\n".join(block) + "\n")
     finally:
         if close:
             fh.close()
@@ -265,7 +299,7 @@ def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
     times = sorted(_parse_times(args.times, args.t))
-    rows = []
+    blocks = []
     for r in range(args.replicas):
         path = simulate.simulate_mass_fragmentation(
             spec, max(times), replica_stream(seed, r),
@@ -274,11 +308,12 @@ def cmd_simulate(args):
         for t in times:
             snap = path.snapshot(t)
             order = np.argsort(-snap.masses, kind="stable")
-            for n in order:
-                rows.append((r, t, int(n), float(snap.masses[n]),
-                             int(snap.types[n]), int(snap.frozen[n])))
+            blocks.append((np.full(order.size, r), np.full(order.size, t),
+                           order, snap.masses[order], snap.types[order],
+                           snap.frozen[order].astype(np.int64)))
     _write_rows(args, ["replica", "time", "fragment_id", "mass", "type",
-                       "frozen_flag"], rows)
+                       "frozen_flag"],
+                [np.concatenate(col) for col in zip(*blocks)])
     return EXIT_OK
 
 
@@ -295,21 +330,25 @@ def cmd_partition(args):
             state = path.at(t)
             for idx, (elems, typ) in enumerate(state.blocks):
                 rows.append((r, t, idx, "|".join(str(e) for e in elems), typ))
-    _write_rows(args, ["replica", "time", "block", "elements", "type"], rows)
+    _write_rows(args, ["replica", "time", "block", "elements", "type"],
+                list(zip(*rows)))
     return EXIT_OK
 
 
 def cmd_tagged(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
-    rows = []
+    columns = [], [], [], []
+    replica, times, js, ss = columns
     for r in range(args.replicas):
         path = simulate.simulate_tagged(
             spec, args.t, replica_stream(seed, r),
             initial_type=args.initial_type)
-        for t, j, s in zip(path.times, path.j_values, path.s_values):
-            rows.append((r, float(t), int(j), float(s)))
-    _write_rows(args, ["replica", "time", "J", "S"], rows)
+        replica += [r] * len(path.times)
+        times += path.times
+        js += path.j_values
+        ss += path.s_values
+    _write_rows(args, ["replica", "time", "J", "S"], columns)
     return EXIT_OK
 
 
@@ -337,7 +376,7 @@ def cmd_spectral(args):
                   + [f"v_{j}" for j in range(1, spec.k + 1)])
         rows = [tuple([g["theta"], g["phi"], g["phi_d1"], g["phi_d2"]]
                       + g["u"] + g["v"]) for g in grid]
-        _write_rows(args, header, rows)
+        _write_rows(args, header, list(zip(*rows)))
         dest = sys.stderr if args.out in (None, "-") else sys.stdout
         json.dump(report, dest, sort_keys=True)
         dest.write("\n")
@@ -361,7 +400,7 @@ def cmd_martingale(args):
             for th in thetas:
                 m = asymptotics.biggins_martingale(snap, sds[th])
                 rows.append((r, th, t, m))
-    _write_rows(args, ["replica", "theta", "t", "M"], rows)
+    _write_rows(args, ["replica", "theta", "t", "M"], list(zip(*rows)))
     return EXIT_OK
 
 
@@ -430,7 +469,7 @@ def cmd_ldcount(args):
                        / math.sqrt(args.replicas))
             rows.append((t, theta, j, mean, se, shape))
     _write_rows(args, ["t", "theta", "type", "mean_count", "se",
-                       "predicted_shape"], rows)
+                       "predicted_shape"], list(zip(*rows)))
     return EXIT_OK
 
 

@@ -9,11 +9,18 @@ sample the mismatched-type atoms that the Poisson picture discards.
 
 Three simulators share this law:
 
-* ``simulate_mass_fragmentation`` and ``simulate_partition_fragmentation``
-  store each fragment, or each block of {1..n} cut by a paintbox sample,
-  once with its lifetime [birth, end), and build states on demand;
+* ``simulate_mass_fragmentation`` keeps a flat-column record: the mass and
+  type of each fragment, and the time, parent, atom and first child of each
+  event (children of one event take consecutive ids).  Lifetimes
+  [birth, end) and the ``events`` list are read off these columns, and
+  snapshots are masks over numpy copies of them;
+* ``simulate_partition_fragmentation`` stores each block of {1..n} cut by a
+  paintbox sample once, with its lifetime, and builds states on demand;
 * ``simulate_tagged`` follows only the tagged fragment, whose (type,
   -log mass) pair is the Markov additive pair the analysis is built on.
+
+The single-path engines draw atoms and children with ``bisect_right`` on
+Python lists of the compiled selection tables.
 
 ``mass_ensemble`` and ``tagged_ensemble`` are vectorized replica drivers
 for statistics that need large populations or many replicas.  Every engine
@@ -25,6 +32,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +60,12 @@ def _check_time(t: float, t_max: float) -> None:
     """Reject a query time outside the run, [0, t_max]."""
     if not 0.0 <= t <= t_max:
         raise InvalidArgument(f"t = {t} outside [0, {t_max}]")
+
+
+def _check_horizon(t_max: float) -> None:
+    """Reject a run horizon that is not a positive finite number."""
+    if not 0.0 < t_max < math.inf:
+        raise InvalidArgument(f"t_max = {t_max} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,12 +107,16 @@ class Snapshot:
 
 
 class FragmentationPath:
-    """Full event record of one mass-fragmentation run.
+    """Full event record of one mass-fragmentation run, in flat columns.
 
-    Fragments are stored with their lifetime [birth, end); ``end`` is the
-    split time, or +inf for fragments that never split within the horizon
-    (including frozen ones).  Snapshots at arbitrary times are reconstructed
-    from these intervals.
+    Fragment ids count up from 0, the initial fragment, and the children of
+    one event take consecutive ids, so the record is two per-fragment
+    columns (mass, type) and four per-event columns (time, parent, atom
+    index, first child).  Birth and end times, parents, frozen flags and the
+    ``events`` list are read off these.  A fragment lives on [birth, end);
+    ``end`` is its split time, or +inf if it never split within the horizon
+    (frozen fragments included).  Snapshots are masks over numpy copies of
+    the columns, made once per path.
     """
 
     def __init__(self, spec, initial_type, t_max, mass_floor):
@@ -106,30 +124,14 @@ class FragmentationPath:
         self.initial_type = initial_type
         self.t_max = t_max
         self.mass_floor = mass_floor
-        self.events: list[Event] = []
         self._mass: list[float] = []
         self._type: list[int] = []
-        self._parent: list[int | None] = []
-        self._birth: list[float] = []
-        self._end: list[float] = []
-        self._frozen: list[bool] = []
+        self._event_time: list[float] = []
+        self._event_parent: list[int] = []
+        self._event_atom: list[int] = []
+        self._event_first: list[int] = []
         self._dust_times: list[float] = [0.0]
         self._dust_values: list[float] = [0.0]
-
-    # -- construction (used by the simulator) --------------------------------
-
-    def _add_fragment(self, mass, typ, parent, birth, frozen) -> int:
-        self._mass.append(mass)
-        self._type.append(typ)
-        self._parent.append(parent)
-        self._birth.append(birth)
-        self._end.append(math.inf)
-        self._frozen.append(frozen)
-        return len(self._mass) - 1
-
-    def _add_dust(self, time, amount) -> None:
-        self._dust_times.append(time)
-        self._dust_values.append(self._dust_values[-1] + amount)
 
     # -- queries --------------------------------------------------------------
 
@@ -137,25 +139,52 @@ class FragmentationPath:
     def n_fragments(self) -> int:
         return len(self._mass)
 
+    @cached_property
+    def events(self) -> list[Event]:
+        """The dislocations in time order, built when first read."""
+        stops = self._event_first[1:] + [self.n_fragments]
+        return [Event(time=time, parent=parent, atom_index=atom,
+                      children=tuple(range(first, stop)))
+                for time, parent, atom, first, stop in zip(
+                    self._event_time, self._event_parent, self._event_atom,
+                    self._event_first, stops)]
+
     def fragment(self, fid: int) -> Fragment:
+        if not 0 <= fid < self.n_fragments:
+            raise InvalidArgument(
+                f"fragment id {fid} outside 0..{self.n_fragments - 1}")
+        parent, birth = None, 0.0
+        if fid:
+            event = bisect_right(self._event_first, fid) - 1
+            parent, birth = self._event_parent[event], self._event_time[event]
         return Fragment(id=fid, mass=self._mass[fid], type=self._type[fid],
-                        parent=self._parent[fid], birth_time=self._birth[fid])
+                        parent=parent, birth_time=birth)
 
     def dust_at(self, t: float) -> float:
+        _check_time(t, self.t_max)
         idx = bisect_right(self._dust_times, t) - 1
         return self._dust_values[idx]
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """Mass, type, birth and end of every fragment, as arrays."""
+        n = self.n_fragments
+        times = np.array(self._event_time, dtype=float)
+        first = np.array(self._event_first, dtype=np.int64)
+        birth = np.zeros(n)
+        birth[1:] = np.repeat(times, np.diff(first, append=n))
+        end = np.full(n, math.inf)
+        end[np.array(self._event_parent, dtype=np.int64)] = times
+        return (np.array(self._mass, dtype=float),
+                np.array(self._type, dtype=np.int64), birth, end)
+
     def snapshot(self, t: float) -> Snapshot:
         _check_time(t, self.t_max)
-        alive = [f for f in range(self.n_fragments)
-                 if self._birth[f] <= t < self._end[f]]
-        return Snapshot(
-            t=t,
-            masses=np.array([self._mass[f] for f in alive]),
-            types=np.array([self._type[f] for f in alive], dtype=np.int64),
-            frozen=np.array([self._frozen[f] for f in alive], dtype=bool),
-            dust=self.dust_at(t),
-        )
+        mass, typ, birth, end = self._columns
+        alive = (birth <= t) & (t < end)
+        masses = mass[alive]
+        return Snapshot(t=t, masses=masses, types=typ[alive],
+                        frozen=masses < self.mass_floor, dust=self.dust_at(t))
 
 
 def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
@@ -169,42 +198,62 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     Fragments below ``mass_floor`` freeze: they stay in the population but
     never dislocate again, which caps the otherwise exponential growth.
     Atoms with dust send the missing mass to the tracked dust pool at the
-    dislocation instant.
+    dislocation instant.  Per event, one uniform picks the atom; then each
+    child, in the atom's order, draws its exponential clock unless it is
+    frozen or its type never splits.
     """
     spec.check_type(initial_type)
-    if t_max <= 0:
-        raise InvalidArgument("t_max must be positive")
-    rates, cums = spec.type_rate, spec.atom_cum
+    _check_horizon(t_max)
     path = FragmentationPath(spec, initial_type, t_max, mass_floor)
-    heap: list[tuple[float, int]] = []
-
-    def spawn(mass, typ, parent, birth):
-        frozen = mass < mass_floor
-        fid = path._add_fragment(mass, typ, parent, birth, frozen)
-        if max_fragments is not None and path.n_fragments > max_fragments:
-            raise ResourceCapExceeded(
-                f"more than {max_fragments} fragments; raise mass_floor or "
+    cums = [cum.tolist() for cum in spec.atom_cum]
+    # the mean clock time of each type; 0.0 for a type that never splits
+    scales = [1.0 / rate if rate > 0 else 0.0
+              for rate in spec.type_rate.tolist()]
+    parts = [None] + [[atom.outcome.parts for atom in atoms]
+                      for atoms in spec.dislocation]
+    dusts = [None] + [[atom.outcome.dust for atom in atoms]
+                      for atoms in spec.dislocation]
+    cap = math.inf if max_fragments is None else max_fragments
+    too_many = (f"more than {max_fragments} fragments; raise mass_floor or "
                 f"shorten t_max")
-        if not frozen and rates[typ] > 0:
-            heapq.heappush(heap, (birth + rng.exponential(1.0 / rates[typ]), fid))
-        return fid
+    if cap < 1:
+        raise ResourceCapExceeded(too_many)
+    masses, types = path._mass, path._type
+    add_mass, add_type = masses.append, types.append
+    add_time, add_parent = path._event_time.append, path._event_parent.append
+    add_atom, add_first = path._event_atom.append, path._event_first.append
+    exponential, uniform = rng.exponential, rng.random
+    heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
 
-    spawn(1.0, initial_type, None, 0.0)
+    add_mass(1.0)
+    add_type(initial_type)
+    if not 1.0 < mass_floor and scales[initial_type]:
+        push(heap, (exponential(scales[initial_type]), 0))
     while heap:
-        time, fid = heapq.heappop(heap)
+        time, fid = pop(heap)
         if time > t_max:
             break
-        typ = path._type[fid]
-        atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
-        atom = spec.dislocation[typ - 1][atom_idx]
-        parent_mass = path._mass[fid]
-        path._end[fid] = time
-        children = tuple(
-            spawn(parent_mass * m, i, fid, time) for m, i in atom.outcome.parts)
-        path.events.append(Event(time=time, parent=fid, atom_index=atom_idx,
-                                 children=children))
-        if atom.outcome.dust > 0.0:
-            path._add_dust(time, parent_mass * atom.outcome.dust)
+        typ = types[fid]
+        atom = bisect_right(cums[typ], uniform())
+        parent_mass = masses[fid]
+        first = len(masses)
+        add_time(time)
+        add_parent(fid)
+        add_atom(atom)
+        add_first(first)
+        for child, (m, child_type) in enumerate(parts[typ][atom], first):
+            mass = parent_mass * m
+            add_mass(mass)
+            add_type(child_type)
+            if child >= cap:
+                raise ResourceCapExceeded(too_many)
+            if not mass < mass_floor and scales[child_type]:
+                push(heap, (time + exponential(scales[child_type]), child))
+        dust = dusts[typ][atom]
+        if dust > 0.0:
+            path._dust_times.append(time)
+            path._dust_values.append(path._dust_values[-1] + parent_mass * dust)
     return path
 
 
@@ -277,6 +326,7 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     spec.check_type(initial_type)
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
+    _check_horizon(t_max)
     rates, cums = spec.type_rate, spec.atom_cum
     path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
@@ -328,22 +378,27 @@ def simulate_tagged(spec: FragmentationSpec, t_max: float,
                     initial_type: int = 1) -> TaggedPath:
     """Path of the tagged pair (J, S) up to t_max; S_0 = 0."""
     spec.check_type(initial_type)
+    _check_horizon(t_max)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
-    rates, cum = spec.type_rate, spec.row_cum
+    rates = spec.type_rate.tolist()
+    cums = [cum.tolist() for cum in spec.row_cum]
+    first_row = spec.type_rows.tolist()
+    log_mass, child = spec.row_log_mass.tolist(), spec.row_child.tolist()
+    exponential, uniform = rng.exponential, rng.random
     t, j, s = 0.0, initial_type, 0.0
     times, js, ss = [0.0], [initial_type], [0.0]
+    add_time, add_j, add_s = times.append, js.append, ss.append
     while rates[j] > 0:
-        t += rng.exponential(1.0 / rates[j])
+        t += exponential(1.0 / rates[j])
         if t > t_max:
             break
-        row = spec.type_rows[j] + int(
-            np.searchsorted(cum[j], rng.random(), side="right"))
-        s -= float(spec.row_log_mass[row])
-        j = int(spec.row_child[row])
-        times.append(t)
-        js.append(j)
-        ss.append(s)
+        row = first_row[j] + bisect_right(cums[j], uniform())
+        s -= log_mass[row]
+        j = child[row]
+        add_time(t)
+        add_j(j)
+        add_s(s)
     return TaggedPath(times, js, ss, t_max)
 
 

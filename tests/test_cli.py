@@ -163,8 +163,15 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     ["tagged", "--seed", str(2 ** 64)],
     ["tagged", "--seed", "1", "--initial-type", "5"],
     ["tagged", "--seed", "1", "--initial-type", "0"],
+    ["tagged", "--seed", "1", "--t", "nan"],
+    ["tagged", "--seed", "1", "--t", "inf"],
+    ["simulate", "--seed", "1", "--t", "nan"],
+    ["martingale", "--seed", "1", "--t", "inf"],
+    ["partition", "--seed", "1", "--t", "nan"],
 ], ids=["theta-list", "times-list", "t-grid-list", "negative-seed",
-        "wide-seed", "initial-type-above-k", "initial-type-zero"])
+        "wide-seed", "initial-type-above-k", "initial-type-zero",
+        "tagged-nan-t", "tagged-inf-t", "simulate-nan-t", "martingale-inf-t",
+        "partition-nan-t"])
 def test_bad_arguments_are_parse_errors(spec_b_file, argv, capsys):
     assert main(argv[:1] + ["--spec", spec_b_file] + argv[1:]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
@@ -182,7 +189,7 @@ def test_bad_ensemble_arguments_are_usage_errors(tmp_path, option, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "partition", "martingale"])
-@pytest.mark.parametrize("times", ["-1,2", "2,nan"])
+@pytest.mark.parametrize("times", ["-1,2", "2,nan", "nan,2", "2,inf"])
 def test_times_outside_the_run_are_usage_errors(spec_b_file, command, times,
                                                  capsys):
     assert main([command, "--spec", spec_b_file, "--seed", "1",
@@ -195,8 +202,31 @@ def test_times_outside_the_run_are_usage_errors(spec_b_file, command, times,
 def test_write_rows_prints_numpy_scalars_as_plain_floats(tmp_path):
     out = tmp_path / "rows.csv"
     args = argparse.Namespace(out=str(out), format="csv")
-    _write_rows(args, ["x", "n"], [(np.float64(0.1), 3)])
+    _write_rows(args, ["x", "n"], [[np.float64(0.1)], [3]])
     assert out.read_text() == "x,n\n0.1,3\n"
+
+
+def test_write_rows_prints_each_float_cell_as_its_repr(tmp_path):
+    # cells are formatted once per distinct value: the signed zeros, the
+    # non-finite values and a repeated value must each keep their own text
+    out = tmp_path / "rows.csv"
+    args = argparse.Namespace(out=str(out), format="csv")
+    x = [0.0, -0.0, 0.1, math.inf, -math.inf, math.nan, 0.1, -0.0, 1e-300]
+    _write_rows(args, ["x", "n"], [np.array(x), list(range(-4, 5))])
+    assert out.read_text().splitlines() == ["x,n"] + [
+        f"{v!r},{n}" for v, n in zip(x, range(-4, 5))]
+
+
+@pytest.mark.parametrize("column", [
+    [1, 2.5], [2.5, 1], [True, False], np.array([1, 2], dtype=np.int32),
+    np.array([True]), ["a", 1]],
+    ids=["int-then-float", "float-then-int", "bools", "int32-array",
+         "bool-array", "str-then-int"])
+def test_write_rows_rejects_columns_it_cannot_print(tmp_path, column):
+    args = argparse.Namespace(out=str(tmp_path / "rows.csv"), format="csv")
+    with pytest.raises(TypeError, match="cannot write a column"):
+        _write_rows(args, ["x"], [column])
+
 
 def test_validate_report(spec_b_file, tmp_path):
     out = tmp_path / "v.json"

@@ -1,0 +1,124 @@
+"""Golden sha256 digests of CLI output for fixed seeds.
+
+Each case runs one subcommand on SPEC-C, on a dusty non-conservative model
+(where martingale, tagged, ldcount and spectral exit 3 before writing
+anything) or on a conservative three-type model with several atoms per
+type, in CSV and in JSON, and hashes its exit code, its output file and
+what it printed.  The digests were taken before the heap and tagged
+engines and the row writer moved to flat columns; they pin the random
+streams and the output bytes.  A change that alters either on purpose
+updates them and says so in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from multifrag.cli import main
+
+SPEC_C_DOC = {"types": 2, "erosion": [0, 0], "conservative": True,
+              "dislocation": {
+                  "1": [{"rate": 1.0, "fragments": [["3/5", 1], ["2/5", 2]]}],
+                  "2": [{"rate": 1.0,
+                         "fragments": [["1/2", 2], ["3/10", 1], ["1/5", 1]]}]}}
+# type 1 sheds 20% of its mass as dust; type 2 has a dusty and a proper atom
+DUSTY_DOC = {"types": 2, "dislocation": {
+    "1": [{"rate": 1.0, "fragments": [[0.5, 1], [0.3, 2]]}],
+    "2": [{"rate": 0.5, "fragments": [[0.6, 1], [0.4, 2]]},
+          {"rate": 1.0, "fragments": [[0.4, 2], [0.2, 1]]}]}}
+# conservative, with several atoms per type, for the commands that need it
+THREE_TYPE_DOC = {"types": 3, "dislocation": {
+    "1": [{"rate": 0.7, "fragments": [[0.5, 2], [0.5, 3]]},
+          {"rate": 0.4, "fragments": [[0.7, 1], [0.2, 3], [0.1, 2]]}],
+    "2": [{"rate": 1.2, "fragments": [[0.25, 1], [0.75, 3]]}],
+    "3": [{"rate": 0.3, "fragments": [[0.9, 3], [0.1, 1]]},
+          {"rate": 0.6, "fragments": [[0.4, 2], [0.3, 2], [0.3, 1]]},
+          {"rate": 0.2, "fragments": [[0.6, 1], [0.4, 3]]}]}}
+MODELS = {"spec_c": SPEC_C_DOC, "dusty": DUSTY_DOC,
+          "three_type": THREE_TYPE_DOC}
+
+COMMANDS = {
+    "simulate": ["--seed", "11", "--replicas", "2", "--times", "0,1.5,3",
+                 "--mass-floor", "1e-3"],
+    "martingale": ["--seed", "12", "--replicas", "2", "--times", "1,3",
+                   "--theta", "0.3,0.6", "--mass-floor", "1e-3"],
+    "tagged": ["--seed", "13", "--replicas", "3", "--t", "4"],
+    "partition": ["--seed", "14", "--replicas", "2", "--n", "12",
+                  "--times", "0.5,2"],
+    "ldcount": ["--seed", "15", "--replicas", "20", "--t-grid", "2,3"],
+    "spectral": ["--theta", "0,0.5,1"],
+}
+
+DIGESTS = {
+    "simulate-spec_c-csv": "8b9c27721c0e83962ee1d64ec157e72c882b94f3313ba77428c3ec484515c97c",
+    "simulate-spec_c-json": "002545239e65658b34df24f115e44b5be68d19da097ce4713dad3f24ea2c6b40",
+    "martingale-spec_c-csv": "da0b5e1ccbede8428ed84219dece4de0fe9be3a4ce65af5ed2947fca892aad91",
+    "martingale-spec_c-json": "cb923b77585e4f890aff1ddb1ef4685b0b7ea984127185daec81c57748c208e6",
+    "tagged-spec_c-csv": "850dedb971da9aebab9d9ff98fe240a2620ca55080ee6c4b5d51649fda1006a4",
+    "tagged-spec_c-json": "c0ccb6e46d452515493939882db0621d840f010046d46f28ea3a3285041aa940",
+    "partition-spec_c-csv": "d8ce9011bdd6d571ce44461f3c8f9d585634afb134b8ee160a6a6fc8256864eb",
+    "partition-spec_c-json": "e11f8eef9e41620c7f9b78abda922a29347fc99b08f65bb7cca2469438e8b236",
+    "ldcount-spec_c-csv": "00166408c2a6859452617b616f75fc684b4453b883eb113e747cf514d0469656",
+    "ldcount-spec_c-json": "59ea171e4c761792ce3db68ab87713b9ed6f1bbb6a65a27a7db20c5c96b4bda9",
+    "spectral-spec_c-csv": "5877eaceaaef4e0efb55622d7239166ca335ff3d4e50eb7257d62d57375136bb",
+    "spectral-spec_c-json": "64e989f5646e7ab60df9a81eb4f88644eb942b9a08b4f1a2ca5b19a12f244a2c",
+    "simulate-dusty-csv": "933c9a0db40d8d96da7e77614caad1c7139e85d30e4d0af8190e9868fda76e59",
+    "simulate-dusty-json": "8cd7420864f5010d259a4cc485be9cf0eca0973f5c68e2e1aeb323d37be410fb",
+    "martingale-dusty-csv": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "martingale-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "tagged-dusty-csv": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "tagged-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "partition-dusty-csv": "0ad67e21654733d564021dd8659f64b22193e603d505979ed1db885fa15b4b93",
+    "partition-dusty-json": "9291e01bfef22f9178bb60f5e079d96593718318cd456bdfc210cce54d04fa69",
+    "ldcount-dusty-csv": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "ldcount-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "spectral-dusty-csv": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "spectral-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "simulate-three_type-csv": "424323ab9cd3164ce8265292642753f71c696630756a4265e2bdc52e9310a078",
+    "simulate-three_type-json": "43bc5620b12ab993cd32a35873c1da904d059eb9d23c9b697b98c789dc22b0fd",
+    "martingale-three_type-csv": "bcc86b9e5db41e4194342d404b2198c02316d396b464a4d68fb0b0168840c7f7",
+    "martingale-three_type-json": "20f5d024f4e0ce76cce518bf835df3c18272d0980be22e7c21401278b05fc689",
+    "tagged-three_type-csv": "f926cbb84f93e10b4f90092f3f0a9dce435d2ed49196050781c500a5be0eaf82",
+    "tagged-three_type-json": "b7c675443a373f438f7c52eecdafbc5169e500bfd8a299d6a0d79c0790717590",
+    "partition-three_type-csv": "bf247124a0e74c9d9cc4a99a95011b7f72ea0ae2019d35c87cc0e24cb3be1c15",
+    "partition-three_type-json": "b587fb8eb50ce36b1293d65de5c6800ad80c7f51cb80083db72fdffe392daa0b",
+    "ldcount-three_type-csv": "32d4f1823f063a70697bf988642b068dc5dc113bc3f024c1ba995ad8a4d254ee",
+    "ldcount-three_type-json": "b5290663dd007ae824ebfdd9a05f25bf6a8a6ebca12127e7a5a703f3fce15a41",
+    "spectral-three_type-csv": "43e3276050e41ebbd0ee57789c3ceb67124858311c4624ac0c5dd2c204485b25",
+    "spectral-three_type-json": "f7dad57d5ada3bc9351584cdee8fdd00079f2a6f732cb484cfb57b1ec7c618a1",
+}
+
+
+def _cases():
+    for model in MODELS:
+        for command in COMMANDS:
+            for fmt in ("csv", "json"):
+                yield f"{command}-{model}-{fmt}", (command, model, fmt)
+
+
+CASES = dict(_cases())
+
+
+def digest(case, tmp_path):
+    """sha256 over the exit code, the --out file and stdout of one case."""
+    command, model, fmt = case
+    spec = tmp_path / f"{model}.json"
+    spec.write_text(json.dumps(MODELS[model]))
+    out = tmp_path / f"{command}-{model}.{fmt}"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--spec", str(spec), "--format", fmt,
+                     "--out", str(out)] + COMMANDS[command])
+    h = hashlib.sha256(f"{code}\n".encode())
+    h.update(out.read_bytes() if out.exists() else b"")
+    h.update(printed.getvalue().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_output_matches_golden_digest(case, tmp_path):
+    assert digest(CASES[case], tmp_path) == DIGESTS[case]

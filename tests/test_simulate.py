@@ -27,6 +27,7 @@ from multifrag import (
     typed_block_partition,
 )
 from multifrag import simulate as simulate_module
+from multifrag.simulate import Event, Fragment
 from multifrag.errors import (
     DistinctErosionCoefficients,
     GroundSizeTooSmall,
@@ -108,6 +109,15 @@ def test_dust_pool_tracks_improper_atoms():
     assert snap.dust > 0
     assert snap.total_mass() + snap.dust == pytest.approx(1.0, abs=1e-9)
     assert path.dust_at(0.0) == 0.0
+
+
+def test_fragment_ids_outside_the_run_rejected(spec_c):
+    path = simulate_mass_fragmentation(spec_c, 2.0, replica_stream(5, 1))
+    assert path.fragment(0).parent is None
+    assert path.fragment(path.n_fragments - 1).parent is not None
+    for fid in (-1, path.n_fragments):
+        with pytest.raises(InvalidArgument):
+            path.fragment(fid)
 
 
 # --- erosion ---------------------------------------------------------------------
@@ -268,6 +278,8 @@ def test_partition_record_matches_per_event_states(spec, seed, n, t_max):
 RECORDS = {
     "mass": lambda spec: simulate_mass_fragmentation(
         spec, 2.0, replica_stream(33, 0)).snapshot,
+    "dust": lambda spec: simulate_mass_fragmentation(
+        spec, 2.0, replica_stream(33, 0)).dust_at,
     "eroded": lambda spec: apply_erosion(simulate_mass_fragmentation(
         spec, 2.0, replica_stream(33, 0))).snapshot,
     "partition": lambda spec: simulate_partition_fragmentation(
@@ -285,6 +297,24 @@ def test_records_reject_times_outside_the_run(spec_c, record):
     for t in (-1.0, t_max + 1.0, math.nan):
         with pytest.raises(InvalidArgument):
             ask(t)
+
+
+HORIZONS = {
+    "mass": lambda spec, t_max: simulate_mass_fragmentation(
+        spec, t_max, replica_stream(34, 0)),
+    "partition": lambda spec, t_max: simulate_partition_fragmentation(
+        spec, 8, t_max, replica_stream(34, 0)),
+    "tagged": lambda spec, t_max: simulate_tagged(
+        spec, t_max, replica_stream(34, 0)),
+}
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("engine", list(HORIZONS))
+def test_engines_reject_horizons_that_are_not_positive_and_finite(
+        spec_c, engine, t_max):
+    with pytest.raises(InvalidArgument):
+        HORIZONS[engine](spec_c, t_max)
 
 
 # --- tagged paths ----------------------------------------------------------------------
@@ -546,6 +576,149 @@ def test_tagged_engines_take_the_top_uniform(monkeypatch, engine):
     # every jump lands in the last child of the last atom
     assert np.allclose(s / last_jump, np.round(s / last_jump))
     assert np.all(s > 0)
+
+
+# --- flat engines against their per-record references ---------------------------------
+
+def random_dusty_spec(rng: np.random.Generator):
+    """random_conservative_spec with every child mass scaled down by its own
+    factor in [0.3, 1), so each atom sheds part of its mass as dust."""
+    spec = random_conservative_spec(rng)
+    return fragmentation_spec(spec.k, {
+        i: [(atom.weight, [(mass * rng.uniform(0.3, 1.0), typ)
+                           for mass, typ in atom.outcome.parts])
+            for atom in spec.atoms(i)]
+        for i in range(1, spec.k + 1)})
+
+
+dusty_specs = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_dusty_spec(np.random.default_rng(seed)))
+
+
+def _reference_heap_run(spec, t_max, rng, initial_type, mass_floor,
+                        max_fragments=None):
+    """The heap engine with one record per fragment and an Event per
+    dislocation: the reference for the flat-column record.  Same draws,
+    same order.  Returns the fragments as [mass, type, parent, birth, end],
+    the events and the dust pool as (time, cumulative dust) steps."""
+    rates, cums = spec.type_rate, spec.atom_cum
+    frags, events, dust, heap = [], [], [(0.0, 0.0)], []
+
+    def spawn(mass, typ, parent, birth):
+        frags.append([mass, typ, parent, birth, math.inf])
+        if max_fragments is not None and len(frags) > max_fragments:
+            raise ResourceCapExceeded(f"more than {max_fragments} fragments")
+        if not mass < mass_floor and rates[typ] > 0:
+            heapq.heappush(heap, (birth + rng.exponential(1.0 / rates[typ]),
+                                  len(frags) - 1))
+        return len(frags) - 1
+
+    spawn(1.0, initial_type, None, 0.0)
+    while heap and heap[0][0] <= t_max:
+        time, fid = heapq.heappop(heap)
+        mass, typ = frags[fid][:2]
+        atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
+        outcome = spec.dislocation[typ - 1][atom_idx].outcome
+        frags[fid][4] = time
+        children = tuple(spawn(mass * m, i, fid, time)
+                         for m, i in outcome.parts)
+        events.append(Event(time, fid, atom_idx, children))
+        if outcome.dust > 0.0:
+            dust.append((time, dust[-1][1] + mass * outcome.dust))
+    return frags, events, dust
+
+
+def _reference_snapshot(frags, dust, mass_floor, t):
+    alive = [f for f in frags if f[3] <= t < f[4]]
+    return (np.array([f[0] for f in alive]),
+            np.array([f[1] for f in alive], dtype=np.int64),
+            np.array([f[0] < mass_floor for f in alive], dtype=bool),
+            [value for time, value in dust if time <= t][-1])
+
+
+def _reference_tagged_run(spec, t_max, rng, initial_type):
+    """The tagged engine drawing through np.searchsorted: the reference for
+    the list-and-bisect engine.  Same draws, same order."""
+    rates, cum = spec.type_rate, spec.row_cum
+    t, j, s = 0.0, initial_type, 0.0
+    times, js, ss = [0.0], [initial_type], [0.0]
+    while rates[j] > 0:
+        t += rng.exponential(1.0 / rates[j])
+        if t > t_max:
+            break
+        row = spec.type_rows[j] + int(
+            np.searchsorted(cum[j], rng.random(), side="right"))
+        s -= float(spec.row_log_mass[row])
+        j = int(spec.row_child[row])
+        times.append(t)
+        js.append(j)
+        ss.append(s)
+    return times, js, ss
+
+
+@property_settings
+@given(spec=st.one_of(random_specs, dusty_specs),
+       seed=st.integers(0, 2 ** 32 - 1), t_max=st.floats(1.0, 8.0),
+       mass_floor=st.sampled_from([0.003, 0.02, 0.1]),
+       queries=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_heap_record_matches_reference(spec, seed, t_max, mass_floor,
+                                       queries):
+    initial_type = 1 + seed % spec.k
+    frags, events, dust = _reference_heap_run(
+        spec, t_max, replica_stream(seed, 0), initial_type, mass_floor)
+    path = simulate_mass_fragmentation(
+        spec, t_max, replica_stream(seed, 0), initial_type=initial_type,
+        mass_floor=mass_floor)
+    assert path.n_fragments == len(frags)
+    for i, (mass, typ, parent, birth, _) in enumerate(frags):
+        assert path.fragment(i) == Fragment(i, mass, typ, parent, birth)
+    mass, typ, birth, end = path._columns
+    assert end.tolist() == [f[4] for f in frags]
+    assert path.events == events
+    for time, value in dust:
+        assert path.dust_at(time) == value
+    for t in [ev.time for ev in events] + [t_max * q for q in queries]:
+        snap = path.snapshot(t)
+        masses, types, frozen, pool = _reference_snapshot(frags, dust,
+                                                          mass_floor, t)
+        for got, want in ((snap.masses, masses), (snap.types, types),
+                          (snap.frozen, frozen)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert snap.dust == pool
+
+
+@property_settings
+@given(spec=st.one_of(random_specs, dusty_specs),
+       seed=st.integers(0, 2 ** 32 - 1), cap=st.integers(0, 400))
+def test_fragment_cap_matches_reference(spec, seed, cap):
+    # the same fragment trips the cap: both raise, with the same draws taken
+    rng_ref, rng = replica_stream(seed, 0), replica_stream(seed, 0)
+    try:
+        _reference_heap_run(spec, 3.0, rng_ref, 1, 0.01, cap)
+        raised = False
+    except ResourceCapExceeded:
+        raised = True
+    if raised:
+        with pytest.raises(ResourceCapExceeded):
+            simulate_mass_fragmentation(spec, 3.0, rng, mass_floor=0.01,
+                                        max_fragments=cap)
+    else:
+        path = simulate_mass_fragmentation(spec, 3.0, rng, mass_floor=0.01,
+                                           max_fragments=cap)
+        assert path.n_fragments <= cap
+    assert rng.random(4).tolist() == rng_ref.random(4).tolist()
+
+
+@property_settings
+@given(spec=random_specs, seed=st.integers(0, 2 ** 32 - 1),
+       t_max=st.floats(0.1, 20.0))
+def test_tagged_path_matches_reference(spec, seed, t_max):
+    initial_type = 1 + seed % spec.k
+    path = simulate_tagged(spec, t_max, replica_stream(seed, 0),
+                           initial_type=initial_type)
+    times, js, ss = _reference_tagged_run(spec, t_max, replica_stream(seed, 0),
+                                          initial_type)
+    assert (path.times, path.j_values, path.s_values) == (times, js, ss)
 
 
 # --- properties over random conservative models --------------------------------------
