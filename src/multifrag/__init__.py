@@ -34,6 +34,7 @@ from .measures import (
     bernstein_matrix,
     fragmentation_spec,
     intensity_matrix,
+    irreducibility_check,
     jump_sizes,
     map_characteristics,
     theta_lower,
@@ -68,7 +69,6 @@ from .simulate import (
 )
 from .spectral import (
     SpectralData,
-    irreducibility_check,
     matrix_exponential,
     perron_eigen,
     phi_derivatives,

@@ -22,9 +22,10 @@ from .errors import (
     NotIrreducible,
     ThetaAboveCritical,
 )
-from .measures import FragmentationSpec, jump_sizes
+from .measures import (FragmentationSpec, intensity_matrix,
+                       irreducibility_check, jump_sizes)
 from .simulate import FragmentationPath, Snapshot
-from .spectral import SpectralData, irreducibility_check
+from .spectral import SpectralData
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,12 @@ def clt_statistic(snapshot: Snapshot, f, drift: float) -> float:
     return float(np.sum(snapshot.masses * f(y, snapshot.types)))
 
 
-def stationary_distribution(intensity: np.ndarray) -> np.ndarray:
-    """The probability vector u with u Lambda = 0."""
-    lam = np.asarray(intensity, dtype=float)
-    if not irreducibility_check(lam):
+def stationary_distribution(model) -> np.ndarray:
+    """The probability vector u with u Lambda = 0, for a FragmentationSpec
+    (its compiled irreducibility flag is read) or an intensity matrix."""
+    is_spec = isinstance(model, FragmentationSpec)
+    lam = intensity_matrix(model) if is_spec else np.asarray(model, dtype=float)
+    if not (model.irreducible if is_spec else irreducibility_check(lam)):
         raise NotIrreducible("intensity matrix is not irreducible")
     k = lam.shape[0]
     a = lam.T.copy()

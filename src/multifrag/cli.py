@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
@@ -31,7 +32,6 @@ from .errors import (
     NormTooLarge,
     NotConservative,
     NotIrreducible,
-    NotUnimodal,
     ParseError,
     ResourceCapExceeded,
     SpecValidationError,
@@ -47,7 +47,7 @@ EXIT_RESOURCE = 5
 
 _VALIDATION_ERRORS = (SpecValidationError, NotConservative,
                       DistinctErosionCoefficients, GroundSizeTooSmall)
-_NUMERIC_ERRORS = (NoConvergence, NormTooLarge, NotIrreducible, NotUnimodal,
+_NUMERIC_ERRORS = (NoConvergence, NormTooLarge, NotIrreducible,
                    MaximumAtBracketEdge, ThetaOutOfDomain, InvalidWindow)
 
 
@@ -171,10 +171,13 @@ def _resolve_seed(args, spec) -> int:
     return seed
 
 
+@contextmanager
 def _open_out(args):
     if args.out in (None, "-"):
-        return sys.stdout, False
-    return open(args.out, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(args.out, "w", newline="") as fh:
+            yield fh
 
 
 def _csv_cells(column):
@@ -210,8 +213,7 @@ def _csv_cells(column):
 def _write_rows(args, header, columns):
     """Write a table given as one column per header entry (see _csv_cells),
     as CSV lines or as a JSON list of row objects."""
-    fh, close = _open_out(args)
-    try:
+    with _open_out(args) as fh:
         if args.format == "json":
             rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col
                          for col in columns])
@@ -224,19 +226,12 @@ def _write_rows(args, header, columns):
             # a few thousand lines per write keep memory flat on large tables
             while block := list(islice(lines, 4096)):
                 fh.write("\n".join(block) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_json(args, doc):
-    fh, close = _open_out(args)
-    try:
+    with _open_out(args) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _float_list(text, option):
@@ -366,8 +361,13 @@ def cmd_spectral(args):
             "u": [float(x) for x in sd.u],
             "v": [float(x) for x in sd.v],
         })
-    tb, dphi = spectral.theta_bar(spec)
-    report = {"theta_bar": tb, "phi_prime_at_theta_bar": dphi}
+    try:
+        tb, dphi = spectral.theta_bar(spec)
+        report, failure = {"theta_bar": tb, "phi_prime_at_theta_bar": dphi}, None
+    except _NUMERIC_ERRORS as exc:
+        # the grid is still written; the error is raised after it
+        report, failure = {"theta_bar": None, "phi_prime_at_theta_bar": None,
+                           "theta_bar_error": type(exc).__name__}, exc
     if args.format == "json":
         _write_json(args, {"grid": grid, **report})
     else:
@@ -380,6 +380,8 @@ def cmd_spectral(args):
         dest = sys.stderr if args.out in (None, "-") else sys.stdout
         json.dump(report, dest, sort_keys=True)
         dest.write("\n")
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 
@@ -407,8 +409,7 @@ def cmd_martingale(args):
 def cmd_limits(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
-    lam = measures.intensity_matrix(spec)
-    u = asymptotics.stationary_distribution(lam)
+    u = asymptotics.stationary_distribution(spec)
     d1, d2 = spectral.phi_derivatives(spec, 0.0)
     f = asymptotics.make_test_function(args.f, args.f_center, args.f_width)
     j_arr, s_arr = simulate.tagged_ensemble(
@@ -477,7 +478,7 @@ def cmd_report(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
     lam = measures.intensity_matrix(spec)
-    u0 = asymptotics.stationary_distribution(lam)
+    u0 = asymptotics.stationary_distribution(spec)
     sd0 = spectral.perron_eigen(spec, 0.0, with_derivatives=True)
     tb, dphi = spectral.theta_bar(spec)
     j_arr, s_arr = simulate.tagged_ensemble(spec, [args.t], args.replicas,
@@ -486,7 +487,7 @@ def cmd_report(args):
     doc = {
         "spec": spec_to_document(spec),
         "intensity": [[float(x) for x in row] for row in lam],
-        "irreducible": spectral.irreducibility_check(lam),
+        "irreducible": spec.irreducible,
         "stationary": [float(x) for x in u0],
         "phi_at_0": sd0.phi,
         "phi_d1_at_0": sd0.phi_d1,
@@ -525,7 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seeded=False)
     p.set_defaults(func=cmd_validate, format="json")
 
-    p = sub.add_parser("simulate", help="mass-fragmentation snapshots")
+    p = sub.add_parser(
+        "simulate", help="mass-fragmentation snapshots",
+        description="One row per fragment alive at each time, by decreasing "
+                    "mass.  fragment_id is its rank within that snapshot (from "
+                    "0, in path-id order), not its id in the path.")
     common(p)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--times", default=None, help="comma list of snapshot times")

@@ -83,10 +83,6 @@ class MaximumAtBracketEdge(MultifragError):
     pass
 
 
-class NotUnimodal(MultifragError):
-    pass
-
-
 # --- statistics ---------------------------------------------------------------
 
 class InvalidWindow(MultifragError):

@@ -81,6 +81,7 @@ class FragmentationSpec:
     # into the atoms followed by the rows, and the k x k cell of each step
     walk: np.ndarray = _compiled()
     walk_cell: np.ndarray = _compiled()
+    irreducible: bool = _compiled()  # of the tagged type chain's rate graph
 
     def __post_init__(self):
         validate_spec(self)
@@ -121,6 +122,8 @@ class FragmentationSpec:
         put("walk_cell", np.concatenate([
             (self.atom_type - 1) * (self.k + 1),
             (self.row_type - 1) * self.k + self.row_child - 1])[self.walk])
+        put("irreducible", irreducibility_check(_cell_sums(
+            self, -self.atom_weight, self.row_weight * self.row_mass)))
 
     def check_type(self, i: int) -> int:
         """Return i if it is a type of this model, else raise TypeOutOfRange."""
@@ -213,6 +216,16 @@ def validate_spec(spec: FragmentationSpec) -> FragmentationSpec:
     return spec
 
 
+def irreducibility_check(intensity: np.ndarray) -> bool:
+    """True iff the graph of positive off-diagonal rates is strongly
+    connected: its reachability closure, by repeated squaring, is full."""
+    lam = np.asarray(intensity, dtype=float)
+    reach = ((lam > 0.0) | np.eye(len(lam), dtype=bool)).astype(np.int64)
+    for _ in range(len(lam).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return bool(reach.all())
+
+
 def _require_conservative(spec: FragmentationSpec) -> None:
     if not spec.conservative:
         raise NotConservative("operation requires a conservative spec")
@@ -225,11 +238,6 @@ def theta_lower(spec: FragmentationSpec) -> float:
     all theta > -1, where the child masses x^(1+theta) stay integrable.
     """
     return -1.0
-
-
-def _check_theta(spec: FragmentationSpec, theta: float) -> None:
-    if not theta > theta_lower(spec) + THETA_GUARD:
-        raise ThetaOutOfDomain(f"theta = {theta} not above {theta_lower(spec)}")
 
 
 def _cell_sums(spec: FragmentationSpec, atom_terms, row_terms) -> np.ndarray:
@@ -273,7 +281,8 @@ def bernstein_matrices(spec: FragmentationSpec, theta: float
     nu_i on the diagonal when m = 0.
     """
     _require_conservative(spec)
-    _check_theta(spec, theta)
+    if not theta > theta_lower(spec) + THETA_GUARD:
+        raise ThetaOutOfDomain(f"theta = {theta} not above {theta_lower(spec)}")
     term = spec.row_weight * spec.row_mass ** (1.0 + theta)
     d1 = term * spec.row_log_mass
     zero = np.zeros_like(spec.atom_weight)

@@ -68,6 +68,12 @@ def _check_horizon(t_max: float) -> None:
         raise InvalidArgument(f"t_max = {t_max} must be positive and finite")
 
 
+def _check_mass_floor(mass_floor: float) -> None:
+    """Reject a mass floor that is not finite and >= 0 (NaN never freezes)."""
+    if not 0.0 <= mass_floor < math.inf:
+        raise InvalidArgument(f"mass_floor = {mass_floor} not finite and >= 0")
+
+
 @dataclass(frozen=True)
 class Fragment:
     """One fragment: identity, state, and genealogy."""
@@ -204,6 +210,7 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     """
     spec.check_type(initial_type)
     _check_horizon(t_max)
+    _check_mass_floor(mass_floor)
     path = FragmentationPath(spec, initial_type, t_max, mass_floor)
     cums = [cum.tolist() for cum in spec.atom_cum]
     # the mean clock time of each type; 0.0 for a type that never splits
@@ -485,6 +492,7 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     """
     spec.check_type(initial_type)
     times = _observation_times(times, n_replicas)
+    _check_mass_floor(mass_floor)
     if replica_chunk is not None and replica_chunk < 1:
         raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
     horizon = float(times[-1])

@@ -21,13 +21,12 @@ from .errors import (
     NoConvergence,
     NormTooLarge,
     NotIrreducible,
-    NotUnimodal,
 )
 from .measures import (
     FragmentationSpec,
     THETA_GUARD,
+    _require_conservative,
     bernstein_matrices,
-    intensity_matrix,
 )
 
 MAX_DIM = 64
@@ -76,29 +75,6 @@ def matrix_exponential(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     return result
 
 
-def irreducibility_check(intensity: np.ndarray) -> bool:
-    """True iff the directed graph of positive off-diagonal rates is
-    strongly connected."""
-    lam = np.asarray(intensity, dtype=float)
-    k = lam.shape[0]
-    if k == 1:
-        return True
-    adj = (lam > 0.0) & ~np.eye(k, dtype=bool)
-
-    def reaches_all(mat):
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(mat[i]):
-                if j not in seen:
-                    seen.add(int(j))
-                    stack.append(int(j))
-        return len(seen) == k
-
-    return reaches_all(adj) and reaches_all(adj.T)
-
-
 def _perron_vector(shifted: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Two inverse-iteration steps from a LAPACK eigenvector.
 
@@ -121,8 +97,8 @@ def perron_eigen(spec: FragmentationSpec, theta: float, *,
     phi'' = u Phi'' v - 2 u Phi' G Phi' v, where G is the group inverse of
     Phi - phi I.
     """
-    lam = intensity_matrix(spec)
-    if not irreducibility_check(lam):
+    _require_conservative(spec)
+    if not spec.irreducible:
         raise NotIrreducible("tagged type chain is not irreducible")
     m, m1, m2 = bernstein_matrices(spec, theta)
     k = spec.k
@@ -167,26 +143,28 @@ def theta_bar(spec: FragmentationSpec, bracket: tuple[float, float] = (0.0, 50.0
               ) -> tuple[float, float]:
     """Maximizer of g(theta) = phi(theta) / (theta + 1) and phi' there.
 
-    g' has the sign of -h, where h(theta) = phi - (theta + 1) phi'.  A
-    100-point scan of h must change sign exactly once, from - to +; the root
-    in that cell is found by Newton steps on h' = -(theta + 1) phi'',
-    falling back to bisection whenever a step leaves the cell, and the
-    fixed-point identity phi = (theta + 1) phi' is verified to 1e-6.
+    g' has the sign of -h, where h = phi - (theta + 1) phi'.  phi is concave
+    (e^(-t phi) is the Perron root of E_i[e^(-theta S_t), J_t = j], which is
+    entrywise log-convex in theta; Kingman 1961), so h' = -(theta + 1) phi''
+    >= 0 and h changes sign at most once, from - to +.  h <= 0 at
+    lo + THETA_GUARD and h > 0 at the first of lo + 1, lo + 3, lo + 7, ...
+    (capped at hi) bracket the root; Newton steps on h', bisecting when a
+    step leaves the bracket, find it, and phi = (theta + 1) phi' is checked
+    to 1e-6.  The bracket must be finite with -1 < lo < hi.
     """
     lo, hi = bracket
+    if not (-1.0 < lo < hi and math.isfinite(hi)):
+        raise InvalidArgument(f"bracket {bracket!r} not finite -1 < lo < hi")
 
     def h(th):
         sd = perron_eigen(spec, th, with_derivatives=True)
         return sd.phi - (th + 1.0) * sd.phi_d1, sd
 
-    grid = [float(th) for th in np.linspace(lo + THETA_GUARD, hi, 100)]
-    positive = np.array([h(th)[0] > 0 for th in grid])
-    changes = np.flatnonzero(positive[1:] != positive[:-1])
-    if len(changes) > 1:
-        raise NotUnimodal("g(theta) has several local maxima on the scan grid")
-    if len(changes) == 0 or positive[0]:
+    a, b, width = lo + THETA_GUARD, lo + THETA_GUARD, 1.0
+    while (val := h(b)[0]) <= 0 and b < hi:
+        a, b, width = b, min(lo + width, hi), 2.0 * width + 1.0
+    if val <= 0 or b == a:
         raise MaximumAtBracketEdge("maximizer of phi/(theta+1) at bracket edge")
-    a, b = grid[changes[0]], grid[changes[0] + 1]
     th = 0.5 * (a + b)
     for _ in range(100):
         val, sd = h(th)

@@ -13,6 +13,7 @@ from multifrag import (
     clt_statistic,
     coswin,
     empirical_measure,
+    fragmentation_spec,
     gaussian_limit,
     intensity_matrix,
     largest_fragment_rates,
@@ -35,6 +36,7 @@ from multifrag.errors import (
     InvalidArgument,
     InvalidWindow,
     LatticeJumpSizes,
+    NotConservative,
     NotIrreducible,
     ThetaAboveCritical,
 )
@@ -162,6 +164,20 @@ def test_stationary_examples(spec_b, spec_c):
 def test_stationary_requires_irreducible():
     with pytest.raises(NotIrreducible):
         stationary_distribution(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_stationary_of_a_spec_reads_its_compiled_flag(spec_b, spec_c):
+    for spec in (spec_b, spec_c):
+        assert np.array_equal(stationary_distribution(spec),
+                              stationary_distribution(intensity_matrix(spec)))
+    reducible = fragmentation_spec(2, {1: [(1.0, [(0.6, 1), (0.4, 2)])],
+                                       2: [(1.0, [(0.5, 2), (0.5, 2)])]})
+    with pytest.raises(NotIrreducible):
+        stationary_distribution(reducible)
+    dusty = fragmentation_spec(2, {1: [(1.0, [(0.5, 1), (0.3, 2)])],
+                                   2: [(1.0, [(0.5, 2), (0.4, 2)])]})
+    with pytest.raises(NotConservative):
+        stationary_distribution(dusty)
 
 
 # --- largest fragment ------------------------------------------------------------------

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from multifrag import spectral
 from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
-from multifrag.errors import ParseError, SpecValidationError
+from multifrag.errors import (
+    MaximumAtBracketEdge,
+    NoConvergence,
+    ParseError,
+    SpecValidationError,
+)
 
 SPEC_B_DOC = {
     "types": 2,
@@ -155,6 +161,30 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert err["error"] == "NotIrreducible"
 
 
+def test_exit_code_non_conservative_before_reducible(tmp_path, capsys):
+    # dusty and reducible: the validation error (exit 3) comes first
+    path = tmp_path / "dusty.json"
+    path.write_text(json.dumps({
+        "types": 2,
+        "dislocation": {
+            "1": [{"rate": 1.0, "fragments": [[0.5, 1], [0.3, 2]]}],
+            "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.4, 2]]}],
+        },
+    }))
+    assert main(["spectral", "--spec", str(path), "--theta", "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NotConservative"
+
+
+@pytest.mark.parametrize("command", ["simulate", "martingale"])
+@pytest.mark.parametrize("floor", ["nan", "-1", "inf"])
+def test_mass_floor_must_be_finite_and_nonnegative(spec_b_file, command,
+                                                   floor, capsys):
+    assert main([command, "--spec", spec_b_file, "--seed", "1",
+                 "--mass-floor=" + floor]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral", "--theta", "0.3,x"],
     ["simulate", "--seed", "1", "--times", "1,x"],
@@ -278,6 +308,38 @@ def test_spectral_grid_output(spec_b_file, tmp_path):
     # same phi as SPEC-A, so the known critical exponent
     assert doc["theta_bar"] == pytest.approx(1.42134, abs=1e-3)
     assert doc["phi_prime_at_theta_bar"] == pytest.approx(0.25880, abs=1e-4)
+
+
+@pytest.mark.parametrize("error", [MaximumAtBracketEdge, NoConvergence])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectral_keeps_its_grid_when_theta_bar_fails(spec_b_file, tmp_path,
+                                                      fmt, error, capsys,
+                                                      monkeypatch):
+    argv = ["spectral", "--spec", spec_b_file, "--theta-grid", "0:2:0.5",
+            "--format", fmt, "--out"]
+    good, bad = tmp_path / f"good.{fmt}", tmp_path / f"bad.{fmt}"
+    assert main(argv + [str(good)]) == 0
+    good_report = capsys.readouterr().out
+
+    def failing(spec, bracket=(0.0, 50.0)):
+        raise error("no critical exponent")
+
+    monkeypatch.setattr(spectral, "theta_bar", failing)
+    assert main(argv + [str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": error.__name__,
+                                        "message": "no critical exponent"}
+    failed = {"theta_bar": None, "phi_prime_at_theta_bar": None,
+              "theta_bar_error": error.__name__}
+    if fmt == "json":
+        doc, good_doc = json.loads(bad.read_text()), json.loads(good.read_text())
+        assert doc == {"grid": good_doc["grid"], **failed}
+        assert captured.out == good_report == ""
+    else:
+        assert bad.read_bytes() == good.read_bytes()
+        assert json.loads(captured.out) == failed
+        assert set(json.loads(good_report)) == {"theta_bar",
+                                                "phi_prime_at_theta_bar"}
 
 
 def test_spectral_rate_scaling(tmp_path):

@@ -85,10 +85,10 @@ DIGESTS = {
     "tagged-three_type-json": "b7c675443a373f438f7c52eecdafbc5169e500bfd8a299d6a0d79c0790717590",
     "partition-three_type-csv": "bf247124a0e74c9d9cc4a99a95011b7f72ea0ae2019d35c87cc0e24cb3be1c15",
     "partition-three_type-json": "b587fb8eb50ce36b1293d65de5c6800ad80c7f51cb80083db72fdffe392daa0b",
-    "ldcount-three_type-csv": "32d4f1823f063a70697bf988642b068dc5dc113bc3f024c1ba995ad8a4d254ee",
-    "ldcount-three_type-json": "b5290663dd007ae824ebfdd9a05f25bf6a8a6ebca12127e7a5a703f3fce15a41",
-    "spectral-three_type-csv": "43e3276050e41ebbd0ee57789c3ceb67124858311c4624ac0c5dd2c204485b25",
-    "spectral-three_type-json": "f7dad57d5ada3bc9351584cdee8fdd00079f2a6f732cb484cfb57b1ec7c618a1",
+    "ldcount-three_type-csv": "3030d6d2e08ddb96583bf860bc37900804788e6afa5a21e3bef4765ce13bfbd0",
+    "ldcount-three_type-json": "c73bc5dfdd5bcf603a27fb79e37df04b4c5c54276b816084b2973f4d66a627b1",
+    "spectral-three_type-csv": "35e7a2f375e524bb0819e0ed7d02644be019b87c8b6606449ee9328897a42aa7",
+    "spectral-three_type-json": "b24c4457095fd5f7677e4c4d2e21417131c4cf8b4b03cef34ac83804992f88ed",
 }
 
 
@@ -122,3 +122,25 @@ def digest(case, tmp_path):
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_matches_golden_digest(case, tmp_path):
     assert digest(CASES[case], tmp_path) == DIGESTS[case]
+
+
+# the ldcount counts alone, so a shift in theta_bar's last digits can be
+# told apart from a change in the simulated counts
+LDCOUNT_COUNTS_DIGEST = (
+    "f3bb955d750cdd630c82348f56a8281f82d88caae478ebfad38b2fc79c1aade9")
+
+
+def test_ldcount_counts_match_golden_digest(tmp_path):
+    spec = tmp_path / "three_type.json"
+    spec.write_text(json.dumps(THREE_TYPE_DOC))
+    out = tmp_path / "ldcount.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["ldcount", "--spec", str(spec), "--out", str(out)]
+                    + COMMANDS["ldcount"])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    cols = [header.index("mean_count"), header.index("se")]
+    counts = "\n".join(",".join(line.split(",")[c] for c in cols)
+                       for line in lines)
+    assert hashlib.sha256(counts.encode()).hexdigest() == LDCOUNT_COUNTS_DIGEST

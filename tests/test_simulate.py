@@ -317,6 +317,29 @@ def test_engines_reject_horizons_that_are_not_positive_and_finite(
         HORIZONS[engine](spec_c, t_max)
 
 
+FLOORS = {
+    "mass": lambda spec, floor: simulate_mass_fragmentation(
+        spec, 2.0, replica_stream(35, 0), mass_floor=floor),
+    "mass_ensemble": lambda spec, floor: mass_ensemble(
+        spec, [2.0], 5, 35, _ignore, mass_floor=floor),
+}
+
+
+@pytest.mark.parametrize("floor", [math.nan, -1.0, -1e-300, math.inf])
+@pytest.mark.parametrize("engine", list(FLOORS))
+def test_engines_reject_mass_floors_that_are_not_finite_and_nonnegative(
+        spec_c, engine, floor):
+    # a NaN or negative floor would never freeze anything
+    with pytest.raises(InvalidArgument):
+        FLOORS[engine](spec_c, floor)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("engine", list(FLOORS))
+def test_engines_accept_finite_nonnegative_mass_floors(spec_c, engine, floor):
+    FLOORS[engine](spec_c, floor)
+
+
 # --- tagged paths ----------------------------------------------------------------------
 
 def test_tagged_requires_conservative():

@@ -17,7 +17,15 @@ from multifrag import (
     phi_derivatives,
     theta_bar,
 )
-from multifrag.errors import NormTooLarge, NotIrreducible
+from multifrag import spectral
+from multifrag.errors import (
+    InvalidArgument,
+    MaximumAtBracketEdge,
+    NormTooLarge,
+    NotConservative,
+    NotIrreducible,
+)
+from multifrag.measures import THETA_GUARD
 from conftest import random_conservative_spec
 
 LN2 = math.log(2.0)
@@ -94,6 +102,13 @@ def test_irreducibility(spec_b, spec_c):
     assert irreducibility_check(np.zeros((1, 1)))
     one_way = np.array([[-1.0, 1.0], [0.0, 0.0]])
     assert not irreducibility_check(one_way)
+    # a cycle through all k types needs paths of length k - 1; cut once,
+    # it is a one-way path
+    for k in range(2, 10):
+        cycle = np.roll(np.eye(k), 1, axis=1) - np.eye(k)
+        assert irreducibility_check(cycle)
+        cycle[-1, 0] = 0.0
+        assert not irreducibility_check(cycle)
 
 
 def test_perron_raises_on_reducible_chain():
@@ -102,8 +117,63 @@ def test_perron_raises_on_reducible_chain():
         2: [(1.0, [(0.5, 2), (0.5, 2)])],
     })
     assert not irreducibility_check(intensity_matrix(spec))
+    assert not spec.irreducible
     with pytest.raises(NotIrreducible):
         perron_eigen(spec, 1.0)
+    with pytest.raises(NotIrreducible):
+        theta_bar(spec)
+
+
+def test_non_conservative_is_refused_before_reducibility():
+    # dusty, and type 2 never turns into type 1: NotConservative comes first
+    reducible = fragmentation_spec(2, {
+        1: [(1.0, [(0.5, 1), (0.3, 2)])],
+        2: [(1.0, [(0.5, 2), (0.4, 2)])],
+    })
+    irreducible = fragmentation_spec(2, {
+        1: [(1.0, [(0.5, 1), (0.3, 2)])],
+        2: [(1.0, [(0.5, 2), (0.4, 1)])],
+    })
+    assert not reducible.irreducible and irreducible.irreducible
+    for spec in (reducible, irreducible):
+        with pytest.raises(NotConservative):
+            perron_eigen(spec, 1.0)
+        with pytest.raises(NotConservative):
+            theta_bar(spec)
+
+
+def _reaches_all_both_ways(lam):
+    """Reference strong-connectivity test: a depth-first search from type 0,
+    forwards and backwards."""
+    k = lam.shape[0]
+    adj = (lam > 0.0) & ~np.eye(k, dtype=bool)
+
+    def reaches_all(mat):
+        seen, stack = {0}, [0]
+        while stack:
+            for j in np.flatnonzero(mat[stack.pop()]):
+                if int(j) not in seen:
+                    seen.add(int(j))
+                    stack.append(int(j))
+        return len(seen) == k
+
+    return reaches_all(adj) and reaches_all(adj.T)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda k: st.lists(
+    st.sampled_from([0.0, 0.0, 1.5, -1.0, 1e-300]),
+    min_size=k * k, max_size=k * k).map(
+        lambda cells: np.array(cells).reshape(k, k))))
+def test_irreducibility_matches_a_graph_search(lam):
+    assert irreducibility_check(lam) == _reaches_all_both_ways(lam)
+
+
+@property_settings
+@given(st.integers(0, 2 ** 32 - 1))
+def test_compiled_irreducibility_matches_the_intensity_matrix(seed):
+    spec = random_conservative_spec(np.random.default_rng(seed))
+    assert spec.irreducible == irreducibility_check(intensity_matrix(spec))
 
 
 # --- Perron data ------------------------------------------------------------------
@@ -282,9 +352,92 @@ def test_theta_bar_fixed_point_residual(spec_a, spec_b, spec_c):
 
 
 def test_theta_bar_bracket_edge(spec_a):
-    from multifrag.errors import MaximumAtBracketEdge
+    # theta_bar = 1.42 lies above this bracket ...
     with pytest.raises(MaximumAtBracketEdge):
         theta_bar(spec_a, bracket=(0.0, 1.0))
+    # ... and below this one, where h > 0 already at lo + THETA_GUARD
+    with pytest.raises(MaximumAtBracketEdge):
+        theta_bar(spec_a, bracket=(2.0, 50.0))
+    # a bracket narrower than the guard holds no root
+    with pytest.raises(MaximumAtBracketEdge):
+        theta_bar(spec_a, bracket=(0.0, THETA_GUARD / 2))
+
+
+@pytest.mark.parametrize("bracket", [
+    (math.nan, 50.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 50.0),
+    (-1.0, 50.0), (-2.0, 50.0), (1.0, 1.0), (2.0, 1.0)])
+def test_theta_bar_rejects_bad_brackets(spec_a, bracket):
+    with pytest.raises(InvalidArgument):
+        theta_bar(spec_a, bracket=bracket)
+
+
+def test_theta_bar_takes_few_perron_solves(spec_a, spec_b, spec_c,
+                                           monkeypatch):
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return perron_eigen(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "perron_eigen", counting)
+    for spec in (spec_a, spec_b, spec_c):
+        solves.clear()
+        theta_bar(spec)
+        assert 3 <= len(solves) <= 20
+
+
+def _scan_theta_bar(spec, bracket=(0.0, 50.0)):
+    """Reference theta_bar: a 100-point scan of h for its sign change, then
+    the same Newton/bisection loop inside the scan cell."""
+    lo, hi = bracket
+
+    def h(th):
+        sd = perron_eigen(spec, th, with_derivatives=True)
+        return sd.phi - (th + 1.0) * sd.phi_d1, sd
+
+    grid = [float(th) for th in np.linspace(lo + THETA_GUARD, hi, 100)]
+    positive = np.array([h(th)[0] > 0 for th in grid])
+    changes = np.flatnonzero(positive[1:] != positive[:-1])
+    assert len(changes) <= 1, "h changes sign more than once"
+    if len(changes) == 0 or positive[0]:
+        raise MaximumAtBracketEdge("maximizer at bracket edge")
+    a, b = grid[changes[0]], grid[changes[0] + 1]
+    th = 0.5 * (a + b)
+    for _ in range(100):
+        val, sd = h(th)
+        if val < 0:
+            a = th
+        else:
+            b = th
+        slope = -(th + 1.0) * sd.phi_d2
+        newton = th - val / slope if slope > 0 else math.nan
+        step = newton if a < newton < b else 0.5 * (a + b)
+        if abs(step - th) <= 1e-13 * (1.0 + abs(th)):
+            break
+        th = step
+    return th, sd.phi_d1
+
+
+@property_settings
+@given(irreducible_specs)
+def test_h_is_nondecreasing(spec):
+    # phi is concave (Kingman 1961), so h = phi - (theta + 1) phi' has
+    # h' = -(theta + 1) phi'' >= 0; this guards that in floating point
+    hs = []
+    for th in np.linspace(-0.9, 30.0, 60):
+        sd = perron_eigen(spec, float(th), with_derivatives=True)
+        hs.append(sd.phi - (th + 1.0) * sd.phi_d1)
+    hs = np.array(hs)
+    assert np.all(np.diff(hs) >= -1e-12 * max(1.0, np.max(np.abs(hs))))
+
+
+@property_settings
+@given(irreducible_specs)
+def test_theta_bar_matches_the_scan(spec):
+    tb, d1 = theta_bar(spec)
+    tb_ref, d1_ref = _scan_theta_bar(spec)
+    assert tb == pytest.approx(tb_ref, rel=1e-12, abs=0)
+    assert d1 == pytest.approx(d1_ref, rel=1e-12, abs=0)
 
 
 def test_g_unimodal_on_grid(spec_c):
