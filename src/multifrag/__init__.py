@@ -69,7 +69,6 @@ from .simulate import (
 )
 from .spectral import (
     SpectralData,
-    matrix_exponential,
     perron_eigen,
     phi_derivatives,
     theta_bar,

@@ -19,6 +19,7 @@ from .errors import (
     InvalidArgument,
     InvalidWindow,
     LatticeJumpSizes,
+    NoConvergence,
     NotIrreducible,
     ThetaAboveCritical,
 )
@@ -128,7 +129,7 @@ def ld_predicted_shape(t: float, theta: float, a: float, b: float,
     u_j t^-1/2 e^(t((theta+1)phi' - phi)) (e^(-a(theta+1)) - e^(-b(theta+1)));
     the path-dependent limit constant multiplying it is not predicted.
     """
-    if a >= b:
+    if not a < b:
         raise InvalidWindow(f"need a < b, got a = {a}, b = {b}")
     if sd.phi_d1 is None:
         raise InvalidArgument("spectral data must carry phi_d1")
@@ -191,6 +192,9 @@ def make_test_function(kind: str, center: float = 0.0, width: float = 1.0,
     if kind not in _FAMILY:
         raise InvalidArgument(f"unknown test function {kind!r}; pick from "
                          f"{sorted(_FAMILY)}")
+    if not (math.isfinite(center) and 0.0 < width < math.inf):
+        raise InvalidArgument(f"need a finite center and 0 < width < inf, "
+                              f"got center = {center}, width = {width}")
     g = _FAMILY[kind](center, width)
 
     def f(y, types):
@@ -206,7 +210,7 @@ def make_test_function(kind: str, center: float = 0.0, width: float = 1.0,
 
 def adaptive_simpson(func, a: float, b: float, tol: float = 1e-8,
                      max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature of ``func`` on [a, b]."""
+    """Adaptive Simpson on [a, b]; NoConvergence at a non-finite estimate."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -217,6 +221,8 @@ def adaptive_simpson(func, a: float, b: float, tol: float = 1e-8,
         flm, frm = func(lm), func(rm)
         left = simpson(x0, x1, f0, flm, f1)
         right = simpson(x1, x2, f1, frm, f2)
+        if not math.isfinite(left + right):
+            raise NoConvergence(f"non-finite integrand on [{x0}, {x2}]")
         if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)

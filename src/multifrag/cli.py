@@ -29,7 +29,6 @@ from .errors import (
     MaximumAtBracketEdge,
     MultifragError,
     NoConvergence,
-    NormTooLarge,
     NotConservative,
     NotIrreducible,
     ParseError,
@@ -47,8 +46,8 @@ EXIT_RESOURCE = 5
 
 _VALIDATION_ERRORS = (SpecValidationError, NotConservative,
                       DistinctErosionCoefficients, GroundSizeTooSmall)
-_NUMERIC_ERRORS = (NoConvergence, NormTooLarge, NotIrreducible,
-                   MaximumAtBracketEdge, ThetaOutOfDomain, InvalidWindow)
+_NUMERIC_ERRORS = (NoConvergence, NotIrreducible, MaximumAtBracketEdge,
+                   ThetaOutOfDomain, InvalidWindow)
 
 
 # --- spec files ----------------------------------------------------------------
@@ -244,9 +243,7 @@ def _float_list(text, option):
 
 
 def _parse_times(text, fallback):
-    if not text:
-        return [fallback]
-    return _float_list(text, "--times")
+    return _float_list(text, "--times") if text else [fallback]
 
 
 def _theta_values(args, spec):
@@ -440,6 +437,9 @@ def cmd_limits(args):
 def cmd_ldcount(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
+    if not 0.0 < args.a < args.b < math.inf:
+        raise ParseError(f"--a/--b: need 0 < a < b < inf, "
+                         f"got a = {args.a}, b = {args.b}")
     asymptotics.lattice_check(spec)
     tb, _ = spectral.theta_bar(spec)
     theta = args.theta_frac * tb
@@ -487,7 +487,6 @@ def cmd_report(args):
     doc = {
         "spec": spec_to_document(spec),
         "intensity": [[float(x) for x in row] for row in lam],
-        "irreducible": spec.irreducible,
         "stationary": [float(x) for x in u0],
         "phi_at_0": sd0.phi,
         "phi_d1_at_0": sd0.phi_d1,
@@ -575,8 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=50.0)
     p.add_argument("--f", choices=("bump", "sigmoid", "coswin"),
                    default="bump")
-    p.add_argument("--f-center", dest="f_center", type=float, default=0.0)
-    p.add_argument("--f-width", dest="f_width", type=float, default=1.0)
+    p.add_argument("--f-center", dest="f_center", type=float, default=0.0,
+                   help="finite (exit 2 otherwise)")
+    p.add_argument("--f-width", dest="f_width", type=float, default=1.0,
+                   help="0 < width < inf (exit 2 otherwise)")
     p.set_defaults(func=cmd_limits, format="json")
 
     p = sub.add_parser("ldcount", help="windowed fragment counts vs. "
@@ -585,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-frac", dest="theta_frac", type=float, default=0.5,
                    help="theta as a fraction of theta_bar")
     p.add_argument("--t-grid", dest="t_grid", default="8,10,12,14,16")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--b", type=float, default=2.0)
+    p.add_argument("--a", type=float, default=0.5,
+                   help="need 0 < a < b < inf (exit 2 otherwise)")
+    p.add_argument("--b", type=float, default=2.0, help="see --a")
     p.add_argument("--replica-chunk", dest="replica_chunk", type=int,
                    default=None)
     p.add_argument("--max-fragments", dest="max_fragments", type=int,
@@ -621,13 +623,10 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    except _NUMERIC_ERRORS as exc:
-        _emit_error(exc)
-        return EXIT_NUMERIC
     except ResourceCapExceeded as exc:
         _emit_error(exc)
         return EXIT_RESOURCE
-    except MultifragError as exc:
+    except MultifragError as exc:  # _NUMERIC_ERRORS and any other failure
         _emit_error(exc)
         return EXIT_NUMERIC
 

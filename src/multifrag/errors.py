@@ -67,10 +67,6 @@ class DistinctErosionCoefficients(MultifragError):
 
 # --- spectral computations ----------------------------------------------------
 
-class NormTooLarge(MultifragError):
-    pass
-
-
 class NotIrreducible(MultifragError):
     pass
 

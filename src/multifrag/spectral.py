@@ -6,8 +6,7 @@ that eigenvalue is real and simple with entrywise-positive left and right
 vectors.  One dense eigensolve of Phi and of its transpose gives phi, u and
 v; phi' and phi'' follow in closed form from u, v, Phi', Phi'' and the group
 inverse of Phi - phi I (Meyer & Stewart 1988), and theta_bar is the root of
-phi - (theta + 1) phi'.  The Taylor matrix exponential is kept as the
-reference for the semigroup e^(-t Phi).
+phi - (theta + 1) phi'.
 """
 
 import math
@@ -19,7 +18,6 @@ from .errors import (
     InvalidArgument,
     MaximumAtBracketEdge,
     NoConvergence,
-    NormTooLarge,
     NotIrreducible,
 )
 from .measures import (
@@ -28,9 +26,6 @@ from .measures import (
     _require_conservative,
     bernstein_matrices,
 )
-
-MAX_DIM = 64
-MAX_NORM = 100.0
 
 
 @dataclass(frozen=True)
@@ -47,32 +42,6 @@ class SpectralData:
     v: np.ndarray
     phi_d1: float | None = None
     phi_d2: float | None = None
-
-
-def matrix_exponential(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^(tM) by scaling and squaring of a truncated Taylor series."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgument("need a square matrix")
-    if m.shape[0] > MAX_DIM:
-        raise InvalidArgument(f"dimension {m.shape[0]} beyond supported {MAX_DIM}")
-    a = t * m
-    norm = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
-    if norm > MAX_NORM:
-        raise NormTooLarge(f"|tM| = {norm} > {MAX_NORM}")
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    a = a / (2 ** squarings)
-    k = a.shape[0]
-    result = np.eye(k)
-    term = np.eye(k)
-    for n in range(1, 60):
-        term = term @ a / n
-        result = result + term
-        if np.max(np.abs(term)) < 1e-18 * max(1.0, np.max(np.abs(result))):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
 
 
 def _perron_vector(shifted: np.ndarray, vec: np.ndarray) -> np.ndarray:

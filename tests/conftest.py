@@ -12,8 +12,9 @@ statistical checks (stationary law (5/9, 4/9) by hand).
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from multifrag import fragmentation_spec
+from multifrag import bernstein_matrix, fragmentation_spec
 
 ACCEPTANCE_LINES = []
 
@@ -44,6 +45,12 @@ def spec_c():
         1: [(1.0, [(0.6, 1), (0.4, 2)])],
         2: [(1.0, [(0.5, 2), (0.3, 1), (0.2, 1)])],
     })
+
+
+def semigroup(spec, theta, t=1.0):
+    """e^(-t Phi(theta)) from scipy's Pade scaling and squaring, an oracle
+    independent of the code under test."""
+    return scipy.linalg.expm(-t * bernstein_matrix(spec, theta))
 
 
 def random_conservative_spec(rng: np.random.Generator):

@@ -15,12 +15,10 @@ from scipy.signal import lfilter
 import conftest
 
 from multifrag import (
-    bernstein_matrix,
     frag,
     intensity_matrix,
     make_test_function,
     mass_ensemble,
-    matrix_exponential,
     perron_eigen,
     restrict,
     simulate_mass_fragmentation,
@@ -71,7 +69,7 @@ def test_criterion_1_semigroup_identity(spec_b, spec_c):
         mass_ensemble(spec, times, reps, seed, visit)
         for ti, t in enumerate(times):
             for gi, th in enumerate(thetas):
-                exact = matrix_exponential(-bernstein_matrix(spec, th), t)[0]
+                exact = conftest.semigroup(spec, th, t)[0]
                 for j in range(1, spec.k + 1):
                     vals = acc[ti, :, gi, j - 1]
                     se = vals.std(ddof=1) / math.sqrt(reps)

@@ -6,7 +6,6 @@ import pytest
 from multifrag import (
     Snapshot,
     adaptive_simpson,
-    bernstein_matrix,
     build_typed_mass_partition,
     biggins_martingale,
     bump,
@@ -22,7 +21,6 @@ from multifrag import (
     ld_predicted_shape,
     ld_window_exponent,
     lln_statistic,
-    matrix_exponential,
     perron_eigen,
     sample_paintbox,
     sigmoid,
@@ -36,11 +34,13 @@ from multifrag.errors import (
     InvalidArgument,
     InvalidWindow,
     LatticeJumpSizes,
+    NoConvergence,
     NotConservative,
     NotIrreducible,
     ThetaAboveCritical,
 )
 from multifrag.streams import replica_stream
+from conftest import semigroup
 
 LN2 = math.log(2.0)
 
@@ -125,7 +125,7 @@ def test_statistics_with_constant_function_return_total_mass(spec_c):
 def test_type_marginal_statistic_matches_matrix_exponential(spec_c):
     # E sum_n X_n 1{T_n = j} = (e^(t Lambda))_{1j} exactly
     t, reps = 1.5, 4000
-    exact = matrix_exponential(-bernstein_matrix(spec_c, 0.0), t)[0]
+    exact = semigroup(spec_c, 0.0, t)[0]
     f1 = make_test_function("bump", 0.0, 1e9, type_index=1)
     vals = np.empty(reps)
     for r in range(reps):
@@ -215,6 +215,14 @@ def test_ld_count_trivial_windows(spec_c):
         ld_count(snap, 0.5, 2.0, 1.0, 1, sd)
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 1.0), (math.nan, 2.0),
+                                  (0.5, math.nan)])
+def test_ld_predicted_shape_needs_a_below_b(spec_c, a, b):
+    sd = perron_eigen(spec_c, 0.5, with_derivatives=True)
+    with pytest.raises(InvalidWindow):
+        ld_predicted_shape(1.0, 0.5, a, b, 1, sd)
+
+
 def test_ld_predicted_shape_profile(spec_c):
     tb, _ = theta_bar(spec_c)
     th = 0.5 * tb
@@ -246,6 +254,26 @@ def test_test_function_family_shapes():
         make_test_function("triangle")
 
 
+@pytest.mark.parametrize("center, width", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf),
+    (0.0, 0.0), (0.0, -1.0)])
+def test_test_function_needs_finite_center_and_positive_width(center, width):
+    with pytest.raises(InvalidArgument):
+        make_test_function("bump", center, width)
+
+
+def test_adaptive_simpson_stops_at_a_non_finite_estimate():
+    calls = []
+
+    def nan(y):
+        calls.append(y)
+        return math.nan
+
+    with pytest.raises(NoConvergence):
+        adaptive_simpson(nan, 0.0, 1.0)
+    assert len(calls) == 5
+
+
 def test_adaptive_simpson_known_integrals():
     assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(
         2.0, abs=1e-10)
@@ -270,7 +298,7 @@ def test_gaussian_limit_against_closed_form():
 def test_laplace_intensity_identity(spec_c):
     # E sum_n 1{T_n(1) = j} X_n^theta(1) = (e^(-Phi(theta - 1)))_{1j}
     theta, reps = 1.7, 4000
-    exact = matrix_exponential(-bernstein_matrix(spec_c, theta - 1.0), 1.0)[0]
+    exact = semigroup(spec_c, theta - 1.0)[0]
     vals = np.zeros((reps, 2))
     for r in range(reps):
         path = simulate_mass_fragmentation(spec_c, 1.0, replica_stream(50, r))
@@ -344,8 +372,6 @@ BAD_ARGUMENTS = {
     "unknown-test-function": lambda spec: make_test_function("triangle"),
     "negative-variance": lambda spec: gaussian_limit(
         bump(0.0, 1.0), np.array([1.0]), -1.0),
-    "expm-not-square": lambda spec: matrix_exponential(np.zeros((2, 3))),
-    "expm-too-large": lambda spec: matrix_exponential(np.zeros((65, 65))),
     "negative-seed": lambda spec: replica_stream(-1, 0),
     "negative-replica": lambda spec: replica_stream(0, -1),
 }

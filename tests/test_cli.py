@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multifrag import spectral
+from multifrag import simulate, spectral
 from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
 from multifrag.errors import (
     MaximumAtBracketEdge,
@@ -227,6 +227,36 @@ def test_times_outside_the_run_are_usage_errors(spec_b_file, command, times,
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
 
 
+@pytest.mark.parametrize("option", [
+    "--f-width=nan", "--f-width=inf", "--f-width=0", "--f-width=-1",
+    "--f-center=nan", "--f-center=inf"])
+def test_limits_test_function_arguments_are_usage_errors(spec_b_file, option,
+                                                         capsys):
+    assert main(["limits", "--spec", spec_b_file, "--seed", "1",
+                 "--replicas", "5", option]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("window", [
+    ["--a", "3", "--b", "2"], ["--a=-1"], ["--a", "0"], ["--a", "nan"],
+    ["--b", "nan"], ["--b", "inf"]],
+    ids=["a-above-b", "negative-a", "zero-a", "nan-a", "nan-b", "inf-b"])
+def test_ldcount_window_is_checked_before_any_work(tmp_path, window, capsys,
+                                                   monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the window was checked")
+
+    monkeypatch.setattr(spectral, "theta_bar", no_work)
+    monkeypatch.setattr(simulate, "mass_ensemble", no_work)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    assert main(["ldcount", "--spec", str(path), "--seed", "1",
+                 "--replicas", "5"] + window) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith("--a/--b")
+
+
 # --- outputs ------------------------------------------------------------------------
 
 def test_write_rows_prints_numpy_scalars_as_plain_floats(tmp_path):
@@ -425,7 +455,7 @@ def test_report_summary(spec_b_file, tmp_path):
     assert main(["report", "--spec", spec_b_file, "--seed", "2",
                  "--replicas", "500", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["irreducible"]
+    assert "irreducible" not in doc
     assert abs(doc["phi_at_0"]) < 1e-10
     assert doc["theta_bar"] == pytest.approx(1.42134, abs=1e-3)
     assert doc["spec"] == spec_to_document(parse_spec_file(spec_b_file))

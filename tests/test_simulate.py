@@ -11,12 +11,10 @@ from scipy import stats
 from multifrag import (
     apply_erosion,
     asymptotic_frequencies,
-    bernstein_matrix,
     build_typed_mass_partition,
     frag,
     fragmentation_spec,
     mass_ensemble,
-    matrix_exponential,
     one_block_partition,
     restrict,
     sample_paintbox,
@@ -38,7 +36,7 @@ from multifrag.errors import (
     TypeOutOfRange,
 )
 from multifrag.streams import replica_stream
-from conftest import random_conservative_spec
+from conftest import random_conservative_spec, semigroup
 
 random_specs = st.integers(0, 2 ** 32 - 1).map(
     lambda seed: random_conservative_spec(np.random.default_rng(seed)))
@@ -198,7 +196,7 @@ def test_partition_blocks_match_mass_law(spec_b):
     # block-frequency type histogram of the partition process at time t
     # estimates the same matrix exponential row as the mass-valued process
     n, t, reps = 1000, 1.0, 300
-    exact = matrix_exponential(-bernstein_matrix(spec_b, 0.0), t)[0]
+    exact = semigroup(spec_b, 0.0, t)[0]
     fracs = np.zeros((reps, 2))
     for r in range(reps):
         path = simulate_partition_fragmentation(spec_b, n, t,
@@ -375,7 +373,7 @@ def test_tagged_ensemble_matches_matrix_exponential(spec_c):
     j, s = tagged_ensemble(spec_c, [1.0, 2.5], reps, 16)
     for ti, t in enumerate((1.0, 2.5)):
         for th in (0.5, 1.5):
-            exact = matrix_exponential(-bernstein_matrix(spec_c, th), t)[0]
+            exact = semigroup(spec_c, th, t)[0]
             for typ in (1, 2):
                 vals = np.exp(-th * s[ti]) * (j[ti] == typ)
                 se = vals.std(ddof=1) / math.sqrt(reps)
@@ -451,7 +449,7 @@ def test_mass_ensemble_matches_matrix_exponential(spec_c):
     assert np.all(dust == 0.0)
     for ti, t in enumerate(times):
         for gi, th in enumerate(thetas):
-            exact = matrix_exponential(-bernstein_matrix(spec_c, th), t)[0]
+            exact = semigroup(spec_c, th, t)[0]
             for j in (1, 2):
                 vals = acc[ti, :, gi, j - 1]
                 se = vals.std(ddof=1) / math.sqrt(reps)
@@ -496,7 +494,7 @@ def test_mass_ensemble_three_types_mixed_atoms():
     reps, t, th = 4000, 1.2, 0.8
     acc, visit = _moment_reducer(reps, 3, [th], 1)
     mass_ensemble(spec, [t], reps, 29, visit, initial_type=2)
-    exact = matrix_exponential(-bernstein_matrix(spec, th), t)[1]
+    exact = semigroup(spec, th, t)[1]
     for j in (1, 2, 3):
         vals = acc[0, :, 0, j - 1]
         se = vals.std(ddof=1) / math.sqrt(reps)

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +15,6 @@ from multifrag import (
     fragmentation_spec,
     intensity_matrix,
     irreducibility_check,
-    matrix_exponential,
     perron_eigen,
     phi_derivatives,
     theta_bar,
@@ -21,12 +23,11 @@ from multifrag import spectral
 from multifrag.errors import (
     InvalidArgument,
     MaximumAtBracketEdge,
-    NormTooLarge,
     NotConservative,
     NotIrreducible,
 )
 from multifrag.measures import THETA_GUARD
-from conftest import random_conservative_spec
+from conftest import random_conservative_spec, semigroup
 
 LN2 = math.log(2.0)
 
@@ -49,49 +50,46 @@ def _five_point(f, x, h):
     return (8 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12 * h)
 
 
-# --- matrix exponential -------------------------------------------------------
-
-def test_expm_identity_and_diagonal():
-    m = np.array([[2.0, 1.0], [0.5, -1.0]])
-    assert np.allclose(matrix_exponential(m, 0.0), np.eye(2))
-    d = np.diag([0.3, -1.2])
-    assert np.allclose(matrix_exponential(d, 2.0),
-                       np.diag(np.exp([0.6, -2.4])), rtol=1e-13)
-
+# --- semigroup ------------------------------------------------------------------
 
 def test_expm_scalar_closed_form(spec_a):
     for th in (0.0, 0.5, 2.0):
         for t in (0.5, 1.0, 3.0):
-            val = matrix_exponential(-bernstein_matrix(spec_a, th), t)[0, 0]
+            val = semigroup(spec_a, th, t)[0, 0]
             assert val == pytest.approx(math.exp(-t * (1 - 2 ** (-th))),
                                         rel=1e-13)
 
 
-def test_expm_against_scipy():
-    rng = np.random.default_rng(31)
-    for n in (2, 3, 5, 8):
-        for _ in range(10):
-            m = rng.normal(size=(n, n)) * rng.uniform(0.1, 3.0)
-            ours = matrix_exponential(m, 1.0)
-            ref = scipy.linalg.expm(m)
-            assert np.max(np.abs(ours - ref)) < 1e-12 * max(
-                1.0, np.max(np.abs(ref)))
+@property_settings
+@given(st.integers(0, 2 ** 32 - 1))
+def test_semigroup_on_random_models(seed):
+    # e^(-t Phi(theta)) is entrywise nonnegative, stochastic at theta = 0,
+    # and on irreducible models has u and v as eigenvectors for e^(-t phi)
+    spec = random_conservative_spec(np.random.default_rng(seed))
+    for th in (0.0, 0.5, 2.0):
+        sd = perron_eigen(spec, th) if spec.irreducible else None
+        for t in (0.5, 2.0):
+            p = semigroup(spec, th, t)
+            assert p.min() >= -1e-12
+            if th == 0.0:
+                assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            if sd is not None:
+                r = math.exp(-t * sd.phi)
+                assert np.allclose(sd.u @ p, r * sd.u, rtol=1e-9, atol=0.0)
+                assert np.allclose(p @ sd.v, r * sd.v, rtol=1e-9, atol=0.0)
 
 
-def test_expm_norm_cap():
-    with pytest.raises(NormTooLarge):
-        matrix_exponential(np.array([[200.0]]), 1.0)
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((65, 65)))
-
-
-def test_expm_semigroup_property(spec_c):
-    for th in (0.0, 0.7, 2.0):
-        phi = bernstein_matrix(spec_c, th)
-        for t1, t2 in ((0.5, 0.5), (1.0, 2.0), (0.5, 1.5)):
-            lhs = matrix_exponential(-phi, t1 + t2)
-            rhs = matrix_exponential(-phi, t1) @ matrix_exponential(-phi, t2)
-            assert np.max(np.abs(lhs - rhs)) < 1e-11
+def test_library_does_not_import_scipy():
+    # the semigroup oracle is independent of the library only while the
+    # library itself never loads scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, multifrag, multifrag.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # --- irreducibility -------------------------------------------------------------
@@ -239,7 +237,7 @@ def test_spectral_data_invariants(spec_c):
         assert sd.u.sum() == pytest.approx(1.0, abs=1e-10)
         assert sd.u @ sd.v == pytest.approx(1.0, abs=1e-10)
         assert sd.u.min() > 0 and sd.v.min() > 0
-        a = matrix_exponential(-bernstein_matrix(spec_c, float(th)))
+        a = semigroup(spec_c, float(th))
         r = math.exp(-sd.phi)
         assert np.max(np.abs(sd.u @ a - r * sd.u)) < 1e-9
         assert np.max(np.abs(a @ sd.v - r * sd.v)) < 1e-9
