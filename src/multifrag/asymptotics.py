@@ -23,8 +23,7 @@ from .errors import (
     NotIrreducible,
     ThetaAboveCritical,
 )
-from .measures import (FragmentationSpec, intensity_matrix,
-                       irreducibility_check, jump_sizes)
+from .measures import FragmentationSpec, irreducibility_check, jump_sizes
 from .simulate import FragmentationPath, Snapshot
 from .spectral import SpectralData
 
@@ -82,12 +81,10 @@ def clt_statistic(snapshot: Snapshot, f, drift: float) -> float:
     return float(np.sum(snapshot.masses * f(y, snapshot.types)))
 
 
-def stationary_distribution(model) -> np.ndarray:
-    """The probability vector u with u Lambda = 0, for a FragmentationSpec
-    (its compiled irreducibility flag is read) or an intensity matrix."""
-    is_spec = isinstance(model, FragmentationSpec)
-    lam = intensity_matrix(model) if is_spec else np.asarray(model, dtype=float)
-    if not (model.irreducible if is_spec else irreducibility_check(lam)):
+def stationary_distribution(intensity) -> np.ndarray:
+    """The probability vector u with u Lambda = 0 for an intensity matrix."""
+    lam = np.asarray(intensity, dtype=float)
+    if not irreducibility_check(lam):
         raise NotIrreducible("intensity matrix is not irreducible")
     k = lam.shape[0]
     a = lam.T.copy()
@@ -266,14 +263,9 @@ def lattice_check(spec: FragmentationSpec, *, rtol: float = 1e-9,
     sizes = jump_sizes(spec)
     if not sizes:
         return False
-    base = sizes[0]
-    lattice = True
-    for s in sizes[1:]:
-        ratio = s / base
-        approx = Fraction(ratio).limit_denominator(max_denominator)
-        if abs(ratio - float(approx)) > rtol:
-            lattice = False
-            break
+    lattice = all(
+        abs(r - float(Fraction(r).limit_denominator(max_denominator))) <= rtol
+        for r in (s / sizes[0] for s in sizes[1:]))
     if lattice:
         warnings.warn("jump sizes are pairwise commensurable (lattice walk)",
                       LatticeJumpSizes, stacklevel=2)

@@ -43,6 +43,8 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 EXIT_RESOURCE = 5
+# a longer --theta-grid is refused before its list is built
+MAX_GRID_POINTS = 100_000
 
 _VALIDATION_ERRORS = (SpecValidationError, NotConservative,
                       DistinctErosionCoefficients, GroundSizeTooSmall)
@@ -147,10 +149,11 @@ def spec_to_document(spec: measures.FragmentationSpec) -> dict:
 
 # --- shared helpers -------------------------------------------------------------
 
-def _resolve_seed(args, spec) -> int:
-    """Check the arguments shared by seeded subcommands; return the seed."""
-    if getattr(args, "replicas", 1) < 1:
-        raise ParseError("--replicas must be at least 1")
+def _resolve_seed(args, spec, min_replicas=1) -> int:
+    """Check the arguments shared by seeded subcommands; return the seed.
+    Commands that report a standard error over replicas need two."""
+    if getattr(args, "replicas", 1) < min_replicas:
+        raise ParseError(f"--replicas must be at least {min_replicas}")
     if not 0 < getattr(args, "t", 1.0) < math.inf:
         raise ParseError("--t must be positive and finite")
     if not 1 <= args.initial_type <= spec.k:
@@ -252,10 +255,11 @@ def _theta_values(args, spec):
             lo, hi, step = (float(v) for v in args.theta_grid.split(":"))
         except ValueError:
             raise ParseError("--theta-grid expects lo:hi:step")
-        if step <= 0 or hi < lo:
-            raise ParseError("--theta-grid expects lo <= hi and step > 0")
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        values = [lo + i * step for i in range(n)]
+        if not (-math.inf < lo <= hi < math.inf and 0 < step < math.inf
+                and (span := (hi - lo) / step + 1e-9) < MAX_GRID_POINTS):
+            raise ParseError(f"--theta-grid expects finite lo <= hi, step > 0 "
+                             f"and at most {MAX_GRID_POINTS} points")
+        values = [lo + i * step for i in range(int(span) + 1)]
     elif args.theta is not None:
         values = _float_list(args.theta, "--theta")
     else:
@@ -405,8 +409,8 @@ def cmd_martingale(args):
 
 def cmd_limits(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args, spec)
-    u = asymptotics.stationary_distribution(spec)
+    seed = _resolve_seed(args, spec, min_replicas=2)
+    u = asymptotics.stationary_distribution(measures.intensity_matrix(spec))
     d1, d2 = spectral.phi_derivatives(spec, 0.0)
     f = asymptotics.make_test_function(args.f, args.f_center, args.f_width)
     j_arr, s_arr = simulate.tagged_ensemble(
@@ -436,7 +440,7 @@ def cmd_limits(args):
 
 def cmd_ldcount(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args, spec)
+    seed = _resolve_seed(args, spec, min_replicas=2)
     if not 0.0 < args.a < args.b < math.inf:
         raise ParseError(f"--a/--b: need 0 < a < b < inf, "
                          f"got a = {args.a}, b = {args.b}")
@@ -476,9 +480,9 @@ def cmd_ldcount(args):
 
 def cmd_report(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args, spec)
+    seed = _resolve_seed(args, spec, min_replicas=2)
     lam = measures.intensity_matrix(spec)
-    u0 = asymptotics.stationary_distribution(spec)
+    u0 = asymptotics.stationary_distribution(lam)
     sd0 = spectral.perron_eigen(spec, 0.0, with_derivatives=True)
     tb, dphi = spectral.theta_bar(spec)
     j_arr, s_arr = simulate.tagged_ensemble(spec, [args.t], args.replicas,
@@ -555,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seeded=False)
     p.add_argument("--theta", default=None, help="comma list of theta values")
     p.add_argument("--theta-grid", dest="theta_grid", default=None,
-                   help="lo:hi:step")
+                   help=f"lo:hi:step, finite, at most {MAX_GRID_POINTS} points")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("martingale", help="additive martingale replica table")

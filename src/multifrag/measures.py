@@ -58,13 +58,11 @@ class FragmentationSpec:
     conservative: bool
     # per child row, in the order of type, atom and child
     row_type: np.ndarray = _compiled()  # parent type
-    row_atom: np.ndarray = _compiled()
     row_weight: np.ndarray = _compiled()  # the atom's rate
     row_mass: np.ndarray = _compiled()
     row_child: np.ndarray = _compiled()  # child type
     row_log_mass: np.ndarray = _compiled()
     # per atom, in the order of type and atom
-    atom_type: np.ndarray = _compiled()
     atom_weight: np.ndarray = _compiled()
     atom_dust: np.ndarray = _compiled()
     atom_first_row: np.ndarray = _compiled()
@@ -88,25 +86,25 @@ class FragmentationSpec:
         put = partial(object.__setattr__, self)
         atoms = [atom for row in self.dislocation for atom in row]
         parts = [part for atom in atoms for part in atom.outcome.parts]
-        put("atom_type", np.repeat(np.arange(1, self.k + 1),
-                                   [len(row) for row in self.dislocation]))
+        atom_type = np.repeat(np.arange(1, self.k + 1),
+                              [len(row) for row in self.dislocation])
         put("atom_weight", np.array([atom.weight for atom in atoms], dtype=float))
         put("atom_dust", np.array([atom.outcome.dust for atom in atoms],
                                   dtype=float))
         put("atom_rows", np.array([len(atom.outcome.parts) for atom in atoms],
                                   dtype=np.int64))
         put("atom_first_row", np.cumsum(self.atom_rows) - self.atom_rows)
-        put("row_atom", np.repeat(np.arange(len(atoms)), self.atom_rows))
-        put("row_type", self.atom_type[self.row_atom])
-        put("row_weight", self.atom_weight[self.row_atom])
+        row_atom = np.repeat(np.arange(len(atoms)), self.atom_rows)
+        put("row_type", atom_type[row_atom])
+        put("row_weight", self.atom_weight[row_atom])
         put("row_mass", np.array([mass for mass, _ in parts], dtype=float))
         put("row_child", np.array([typ for _, typ in parts], dtype=np.int64))
         # math.log, not np.log: the two differ in the last bit for some masses
         put("row_log_mass", np.array([math.log(mass) for mass, _ in parts]))
         # summed in atom order, the bits of a running sum over the atoms
-        put("type_rate", np.bincount(self.atom_type, self.atom_weight,
+        put("type_rate", np.bincount(atom_type, self.atom_weight,
                                      self.k + 1).astype(float))
-        put("type_atoms", np.searchsorted(self.atom_type, np.arange(self.k + 2)))
+        put("type_atoms", np.searchsorted(atom_type, np.arange(self.k + 2)))
         put("type_rows", np.searchsorted(self.row_type, np.arange(self.k + 2)))
         tagged = self.row_weight * self.row_mass / self.type_rate[self.row_type]
         atom_cum = [np.cumsum(w) / rate for w, rate in zip(
@@ -120,7 +118,7 @@ class FragmentationSpec:
         put("walk", np.insert(np.arange(n, n + len(parts)), self.atom_first_row,
                               np.arange(n)))
         put("walk_cell", np.concatenate([
-            (self.atom_type - 1) * (self.k + 1),
+            (atom_type - 1) * (self.k + 1),
             (self.row_type - 1) * self.k + self.row_child - 1])[self.walk])
         put("irreducible", irreducibility_check(_cell_sums(
             self, -self.atom_weight, self.row_weight * self.row_mass)))

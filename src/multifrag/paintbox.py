@@ -9,11 +9,7 @@ component that caught a single label, by the singleton convention).
 import numpy as np
 
 from .errors import InvalidArgument
-from .partitions import TypedBlockPartition, TypedMassPartition, typed_block_partition
-
-
-def _cumulative_masses(x: TypedMassPartition) -> np.ndarray:
-    return np.cumsum([m for m, _ in x.parts])
+from .partitions import TypedBlockPartition, TypedMassPartition
 
 
 def sample_paintbox(x: TypedMassPartition, n: int,
@@ -21,7 +17,7 @@ def sample_paintbox(x: TypedMassPartition, n: int,
     """Sample the paintbox based on x, restricted to {1..n}."""
     if n < 1:
         raise InvalidArgument("need n >= 1")
-    cum = _cumulative_masses(x)
+    cum = np.cumsum(x.masses())
     # label == len(parts) means the dust
     labels = np.searchsorted(cum, rng.random(n), side="right")
     # a stable sort keeps each component's labels in increasing order
@@ -35,13 +31,15 @@ def sample_paintbox(x: TypedMassPartition, n: int,
         else:
             typ = x.parts[lab][1] if len(elems) >= 2 else 0
             blocks.append((tuple(elems.tolist()), typ))
-    return typed_block_partition(n, blocks)
+    # the blocks are disjoint, with sorted elements and singleton-rule types;
+    # ranked by least element they are canonical and need no checking
+    return TypedBlockPartition(n, tuple(sorted(blocks)))
 
 
 def size_biased_tag(x: TypedMassPartition,
                     rng: np.random.Generator) -> tuple[float, int]:
     """One size-biased pick: (x_n, i_n) with probability x_n, (0, 0) on dust."""
-    cum = _cumulative_masses(x)
+    cum = np.cumsum(x.masses())
     lab = int(np.searchsorted(cum, rng.random(), side="right"))
     if lab == len(x.parts):
         return 0.0, 0

@@ -49,7 +49,6 @@ from .partitions import (
     TypedBlockPartition,
     TypedMassPartition,
     build_typed_mass_partition,
-    typed_block_partition,
 )
 from .streams import replica_stream
 
@@ -314,9 +313,10 @@ class PartitionPath:
 
     def at(self, t: float) -> TypedBlockPartition:
         _check_time(t, self.t_max)
-        return typed_block_partition(self.n, [
+        # the alive blocks partition {1..n} canonically; sorting ranks them
+        return TypedBlockPartition(self.n, tuple(sorted(
             (elems, typ) for (elems, typ, birth), end
-            in zip(self._blocks, self._end) if birth <= t < end])
+            in zip(self._blocks, self._end) if birth <= t < end)))
 
 
 def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
@@ -330,11 +330,12 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     type are scheduled, which realizes the rule that atoms of mismatched
     type are non-events.
     """
-    spec.check_type(initial_type)
+    initial_type = int(spec.check_type(initial_type))
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
     _check_horizon(t_max)
-    rates, cums = spec.type_rate, spec.atom_cum
+    rates = spec.type_rate.tolist()
+    cums = [cum.tolist() for cum in spec.atom_cum]
     path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
 
@@ -352,8 +353,8 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
             break
         path._end[uid] = time
         elems, typ, _ = path._blocks[uid]
-        atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
-        outcome = spec.dislocation[typ - 1][atom_idx].outcome
+        atom = bisect_right(cums[typ], rng.random())
+        outcome = spec.dislocation[typ - 1][atom].outcome
         local = sample_paintbox(outcome, len(elems), rng)
         for sub, sub_typ in local.blocks:
             add_block(tuple(elems[e - 1] for e in sub), sub_typ, time)

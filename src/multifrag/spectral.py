@@ -52,9 +52,12 @@ def _perron_vector(shifted: np.ndarray, vec: np.ndarray) -> np.ndarray:
     components that LAPACK rounded to zero or to the wrong sign.
     """
     x = np.abs(vec.real)
-    for _ in range(2):
-        x = np.linalg.solve(shifted, x)
-        x = x / x.sum()
+    try:
+        for _ in range(2):
+            x = np.linalg.solve(shifted, x)
+            x = x / x.sum()
+    except np.linalg.LinAlgError as exc:  # the gap at its rounding floor
+        raise NoConvergence(f"Perron inverse iteration: {exc}") from exc
     return x
 
 
@@ -94,7 +97,10 @@ def perron_eigen(spec: FragmentationSpec, theta: float, *,
     # group inverse of Phi - phi I; the rank-one term is weighted by the gap
     # so that the inverted matrix stays as well conditioned as the problem
     vu = np.outer(v, u)
-    group = np.linalg.inv(m - phi * np.eye(k) + gap * vu) - vu / gap
+    try:
+        group = np.linalg.inv(m - phi * np.eye(k) + gap * vu) - vu / gap
+    except np.linalg.LinAlgError as exc:  # the gap at its rounding floor
+        raise NoConvergence(f"group inverse at theta = {theta}: {exc}") from exc
     d1 = float(u @ m1 @ v)
     d2 = float(u @ m2 @ v - 2.0 * (u @ m1) @ group @ (m1 @ v))
     return SpectralData(theta=theta, phi=phi, u=u, v=v,

@@ -164,20 +164,16 @@ def test_stationary_examples(spec_b, spec_c):
 def test_stationary_requires_irreducible():
     with pytest.raises(NotIrreducible):
         stationary_distribution(np.array([[-1.0, 1.0], [0.0, 0.0]]))
-
-
-def test_stationary_of_a_spec_reads_its_compiled_flag(spec_b, spec_c):
-    for spec in (spec_b, spec_c):
-        assert np.array_equal(stationary_distribution(spec),
-                              stationary_distribution(intensity_matrix(spec)))
     reducible = fragmentation_spec(2, {1: [(1.0, [(0.6, 1), (0.4, 2)])],
                                        2: [(1.0, [(0.5, 2), (0.5, 2)])]})
+    assert not reducible.irreducible
     with pytest.raises(NotIrreducible):
-        stationary_distribution(reducible)
+        stationary_distribution(intensity_matrix(reducible))
+    # a dusty model has no intensity matrix, hence no stationary law
     dusty = fragmentation_spec(2, {1: [(1.0, [(0.5, 1), (0.3, 2)])],
                                    2: [(1.0, [(0.5, 2), (0.4, 2)])]})
     with pytest.raises(NotConservative):
-        stationary_distribution(dusty)
+        intensity_matrix(dusty)
 
 
 # --- largest fragment ------------------------------------------------------------------

@@ -257,6 +257,64 @@ def test_ldcount_window_is_checked_before_any_work(tmp_path, window, capsys,
     assert err["message"].startswith("--a/--b")
 
 
+@pytest.mark.parametrize("grid", [
+    "0:1:nan", "0:1:inf", "0:1:0", "0:nan:1", "0:inf:1", "nan:1:0.5",
+    "-inf:1:0.5", "1:0:0.5", "0:1e8:1e-6", "0:1:1e-5"])
+def test_theta_grid_is_checked_before_any_work(spec_b_file, grid, capsys,
+                                               monkeypatch):
+    # the last two grids have more than MAX_GRID_POINTS = 100000 points
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the grid was checked")
+
+    monkeypatch.setattr(spectral, "perron_eigen", no_work)
+    assert main(["spectral", "--spec", spec_b_file,
+                 "--theta-grid=" + grid]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith("--theta-grid")
+
+
+@pytest.mark.parametrize("command", ["limits", "report", "ldcount"])
+def test_standard_errors_need_two_replicas(tmp_path, command, capsys):
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    argv = [command, "--spec", str(path), "--seed", "1", "--out", str(out),
+            "--t-grid" if command == "ldcount" else "--t", "4", "--replicas"]
+    assert main(argv + ["1"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParseError", "message": "--replicas must be at least 2"}
+    assert not out.exists()
+    assert main(argv + ["2"]) == 0
+    # the output is strict JSON or CSV: no NaN anywhere
+    assert "nan" not in out.read_text().lower()
+
+
+def test_singular_group_inverse_is_a_numeric_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    assert main(["spectral", "--spec", str(path), "--theta", "150"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoConvergence"
+    assert "Singular matrix" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["limits", "report"])
+@pytest.mark.parametrize("model, code, error", [
+    ({"1": [[[0.6, 1], [0.4, 2]]], "2": [[[0.5, 2], [0.5, 2]]]},
+     4, "NotIrreducible"),
+    ({"1": [[[0.5, 1], [0.3, 2]]], "2": [[[0.5, 2], [0.4, 2]]]},
+     3, "NotConservative")], ids=["reducible", "dusty"])
+def test_stationary_law_needs_an_irreducible_conservative_model(
+        tmp_path, command, model, code, error, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"types": 2, "dislocation": {
+        i: [{"rate": 1.0, "fragments": frags} for frags in atoms]
+        for i, atoms in model.items()}}))
+    assert main([command, "--spec", str(path), "--seed", "1",
+                 "--replicas", "5"]) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 # --- outputs ------------------------------------------------------------------------
 
 def test_write_rows_prints_numpy_scalars_as_plain_floats(tmp_path):

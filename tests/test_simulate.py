@@ -170,6 +170,12 @@ def test_partition_initial_state(spec_b):
     path = simulate_partition_fragmentation(spec_b, 6, 0.5,
                                             replica_stream(10, 0))
     assert path.at(0.0) == one_block_partition(6, 1)
+    # a numpy integer type comes out as a Python int, as the CLI writes it
+    path = simulate_partition_fragmentation(spec_b, 6, 0.5,
+                                            replica_stream(10, 0),
+                                            initial_type=np.int64(2))
+    assert path.at(0.0) == one_block_partition(6, 2)
+    assert type(path.at(0.0).blocks[0][1]) is int
 
 
 def test_partition_needs_two_points(spec_b):
@@ -230,6 +236,21 @@ def test_partition_largest_block_matches_largest_mass_law(spec_b):
     assert stats.chi2_contingency(table[:, keep]).pvalue > 0.01
 
 
+def random_dusty_spec(rng: np.random.Generator):
+    """random_conservative_spec with every child mass scaled down by its own
+    factor in [0.3, 1), so each atom sheds part of its mass as dust."""
+    spec = random_conservative_spec(rng)
+    return fragmentation_spec(spec.k, {
+        i: [(atom.weight, [(mass * rng.uniform(0.3, 1.0), typ)
+                           for mass, typ in atom.outcome.parts])
+            for atom in spec.atoms(i)]
+        for i in range(1, spec.k + 1)})
+
+
+dusty_specs = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_dusty_spec(np.random.default_rng(seed)))
+
+
 def _reference_partition_run(spec, n, t_max, rng):
     """The partition engine as a full validated state after every event:
     the reference for the block-lifetime record.  Same draws, same order."""
@@ -258,7 +279,8 @@ def _reference_partition_run(spec, n, t_max, rng):
 
 
 @property_settings
-@given(spec=random_specs, seed=st.integers(0, 2 ** 32 - 1),
+@given(spec=st.one_of(random_specs, dusty_specs),
+       seed=st.integers(0, 2 ** 32 - 1),
        n=st.integers(2, 40), t_max=st.floats(0.1, 3.0))
 def test_partition_record_matches_per_event_states(spec, seed, n, t_max):
     path = simulate_partition_fragmentation(spec, n, t_max,
@@ -600,21 +622,6 @@ def test_tagged_engines_take_the_top_uniform(monkeypatch, engine):
 
 
 # --- flat engines against their per-record references ---------------------------------
-
-def random_dusty_spec(rng: np.random.Generator):
-    """random_conservative_spec with every child mass scaled down by its own
-    factor in [0.3, 1), so each atom sheds part of its mass as dust."""
-    spec = random_conservative_spec(rng)
-    return fragmentation_spec(spec.k, {
-        i: [(atom.weight, [(mass * rng.uniform(0.3, 1.0), typ)
-                           for mass, typ in atom.outcome.parts])
-            for atom in spec.atoms(i)]
-        for i in range(1, spec.k + 1)})
-
-
-dusty_specs = st.integers(0, 2 ** 32 - 1).map(
-    lambda seed: random_dusty_spec(np.random.default_rng(seed)))
-
 
 def _reference_heap_run(spec, t_max, rng, initial_type, mass_floor,
                         max_fragments=None):

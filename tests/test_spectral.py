@@ -23,6 +23,7 @@ from multifrag import spectral
 from multifrag.errors import (
     InvalidArgument,
     MaximumAtBracketEdge,
+    NoConvergence,
     NotConservative,
     NotIrreducible,
 )
@@ -120,6 +121,16 @@ def test_perron_raises_on_reducible_chain():
         perron_eigen(spec, 1.0)
     with pytest.raises(NotIrreducible):
         theta_bar(spec)
+
+
+def test_singular_solves_are_no_convergence(spec_c):
+    # far out, Phi rounds to the identity up to tiny off-diagonal rates, the
+    # gap sits at its floor and the group inverse's matrix is singular
+    assert perron_eigen(spec_c, 300.0).phi == 1.0
+    with pytest.raises(NoConvergence):
+        perron_eigen(spec_c, 300.0, with_derivatives=True)
+    with pytest.raises(NoConvergence):
+        spectral._perron_vector(np.zeros((2, 2)), np.ones(2))
 
 
 def test_non_conservative_is_refused_before_reducibility():
