@@ -21,6 +21,7 @@ from .asymptotics import (
     lattice_check,
     ld_count,
     ld_predicted_shape,
+    ld_window,
     ld_window_exponent,
     lln_statistic,
     sigmoid,

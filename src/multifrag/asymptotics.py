@@ -119,33 +119,43 @@ def largest_fragment_rates(path: FragmentationPath, t: float,
     return LargestFragmentRates(t=t, overall=overall, per_type=tuple(per))
 
 
-def ld_predicted_shape(t: float, theta: float, a: float, b: float,
-                       j: int | None, sd: SpectralData) -> float:
-    """Deterministic factor of the windowed-count estimate.
+def _phi_d1(sd: SpectralData) -> float:
+    if sd.phi_d1 is None:
+        raise InvalidArgument("spectral data must carry phi_d1")
+    return sd.phi_d1
+
+
+def ld_predicted_shape(t: float, a: float, b: float, j: int | None,
+                       sd: SpectralData) -> float:
+    """Deterministic factor of the windowed-count estimate at sd.theta.
 
     u_j t^-1/2 e^(t((theta+1)phi' - phi)) (e^(-a(theta+1)) - e^(-b(theta+1)));
     the path-dependent limit constant multiplying it is not predicted.
     """
     if not a < b:
         raise InvalidWindow(f"need a < b, got a = {a}, b = {b}")
-    if sd.phi_d1 is None:
-        raise InvalidArgument("spectral data must carry phi_d1")
+    growth = ld_window_exponent(sd)
     uj = 1.0 if j is None else float(sd.u[j - 1])
-    return (uj / math.sqrt(t)
-            * math.exp(t * ((theta + 1.0) * sd.phi_d1 - sd.phi))
-            * (math.exp(-a * (theta + 1.0)) - math.exp(-b * (theta + 1.0))))
+    th1 = sd.theta + 1.0
+    return (uj / math.sqrt(t) * math.exp(t * growth)
+            * (math.exp(-a * th1) - math.exp(-b * th1)))
 
 
-def ld_count(snapshot: Snapshot, theta: float, a: float, b: float,
-             j: int | None, sd: SpectralData) -> tuple[int, float]:
+def ld_window(t: float, a: float, b: float,
+              sd: SpectralData) -> tuple[float, float]:
+    """The mass window (a e^(-t phi'), b e^(-t phi')) counted at time t."""
+    scale = math.exp(-t * _phi_d1(sd))
+    return a * scale, b * scale
+
+
+def ld_count(snapshot: Snapshot, a: float, b: float, j: int | None,
+             sd: SpectralData) -> tuple[int, float]:
     """Observed window count and its deterministic predicted shape.
 
     Counts fragments of type j with a e^(-t phi') <= mass <= b e^(-t phi').
     """
-    shape = ld_predicted_shape(snapshot.t, theta, a, b, j, sd)
-    t = snapshot.t
-    lo = a * math.exp(-t * sd.phi_d1)
-    hi = b * math.exp(-t * sd.phi_d1)
+    shape = ld_predicted_shape(snapshot.t, a, b, j, sd)
+    lo, hi = ld_window(snapshot.t, a, b, sd)
     in_window = (snapshot.masses >= lo) & (snapshot.masses <= hi)
     if j is not None:
         in_window &= snapshot.types == j
@@ -154,9 +164,7 @@ def ld_count(snapshot: Snapshot, theta: float, a: float, b: float,
 
 def ld_window_exponent(sd: SpectralData) -> float:
     """Growth rate (theta+1) phi'(theta) - phi(theta) of window counts."""
-    if sd.phi_d1 is None:
-        raise InvalidArgument("spectral data must carry phi_d1")
-    return (sd.theta + 1.0) * sd.phi_d1 - sd.phi
+    return (sd.theta + 1.0) * _phi_d1(sd) - sd.phi
 
 
 # --- test-function family ----------------------------------------------------

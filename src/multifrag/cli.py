@@ -6,7 +6,7 @@ seed produce byte-identical outputs; the seed comes from --seed or the
 MULTIFRAG_SEED environment variable, never from the clock.
 
 Exit codes: 0 ok, 2 parse/usage, 3 model validation, 4 numeric failure,
-5 resource cap.
+5 resource cap; a failure exits with the ``exit_code`` of its error class.
 """
 
 import argparse
@@ -22,34 +22,16 @@ import numpy as np
 
 from . import asymptotics, measures, simulate, spectral
 from .errors import (
-    DistinctErosionCoefficients,
-    GroundSizeTooSmall,
-    InvalidArgument,
-    InvalidWindow,
     MaximumAtBracketEdge,
     MultifragError,
     NoConvergence,
-    NotConservative,
-    NotIrreducible,
     ParseError,
-    ResourceCapExceeded,
     SpecValidationError,
-    ThetaOutOfDomain,
 )
 from .streams import replica_stream
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_NUMERIC = 4
-EXIT_RESOURCE = 5
 # a longer --theta-grid is refused before its list is built
 MAX_GRID_POINTS = 100_000
-
-_VALIDATION_ERRORS = (SpecValidationError, NotConservative,
-                      DistinctErosionCoefficients, GroundSizeTooSmall)
-_NUMERIC_ERRORS = (NoConvergence, NotIrreducible, MaximumAtBracketEdge,
-                   ThetaOutOfDomain, InvalidWindow)
 
 
 # --- spec files ----------------------------------------------------------------
@@ -245,11 +227,25 @@ def _float_list(text, option):
                          f"got {text!r}")
 
 
-def _parse_times(text, fallback):
-    return _float_list(text, "--times") if text else [fallback]
+def _parse_times(args):
+    """The sorted snapshot times: the --times list, or --t alone."""
+    return sorted(_float_list(args.times, "--times") if args.times
+                  else [args.t])
 
 
-def _theta_values(args, spec):
+def _snapshots(args, spec, seed):
+    """(replica, snapshot) of each replica's mass-fragmentation path at each
+    snapshot time; the times are parsed now, the paths simulated lazily."""
+    times = _parse_times(args)
+    paths = (simulate.simulate_mass_fragmentation(
+        spec, max(times), replica_stream(seed, r),
+        initial_type=args.initial_type, mass_floor=args.mass_floor,
+        max_fragments=args.max_fragments) for r in range(args.replicas))
+    return ((r, path.snapshot(t)) for r, path in enumerate(paths)
+            for t in times)
+
+
+def _theta_values(args):
     if args.theta_grid:
         try:
             lo, hi, step = (float(v) for v in args.theta_grid.split(":"))
@@ -259,16 +255,10 @@ def _theta_values(args, spec):
                 and (span := (hi - lo) / step + 1e-9) < MAX_GRID_POINTS):
             raise ParseError(f"--theta-grid expects finite lo <= hi, step > 0 "
                              f"and at most {MAX_GRID_POINTS} points")
-        values = [lo + i * step for i in range(int(span) + 1)]
-    elif args.theta is not None:
-        values = _float_list(args.theta, "--theta")
-    else:
-        values = [0.0, 0.5, 1.0, 2.0]
-    floor = measures.theta_lower(spec)
-    for th in values:
-        if th <= floor:
-            raise ThetaOutOfDomain(f"theta = {th} at or below {floor}")
-    return values
+        return [lo + i * step for i in range(int(span) + 1)]
+    if args.theta is not None:
+        return _float_list(args.theta, "--theta")
+    return [0.0, 0.5, 1.0, 2.0]
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -288,35 +278,25 @@ def cmd_validate(args):
         "erosion": list(spec.erosion),
         "total_rates": [spec.total_rate(i) for i in range(1, spec.k + 1)],
     })
-    return EXIT_OK
 
 
 def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
-    seed = _resolve_seed(args, spec)
-    times = sorted(_parse_times(args.times, args.t))
     blocks = []
-    for r in range(args.replicas):
-        path = simulate.simulate_mass_fragmentation(
-            spec, max(times), replica_stream(seed, r),
-            initial_type=args.initial_type, mass_floor=args.mass_floor,
-            max_fragments=args.max_fragments)
-        for t in times:
-            snap = path.snapshot(t)
-            order = np.argsort(-snap.masses, kind="stable")
-            blocks.append((np.full(order.size, r), np.full(order.size, t),
-                           order, snap.masses[order], snap.types[order],
-                           snap.frozen[order].astype(np.int64)))
+    for r, snap in _snapshots(args, spec, _resolve_seed(args, spec)):
+        order = np.argsort(-snap.masses, kind="stable")
+        blocks.append((np.full(order.size, r), np.full(order.size, snap.t),
+                       order, snap.masses[order], snap.types[order],
+                       snap.frozen[order].astype(np.int64)))
     _write_rows(args, ["replica", "time", "fragment_id", "mass", "type",
                        "frozen_flag"],
                 [np.concatenate(col) for col in zip(*blocks)])
-    return EXIT_OK
 
 
 def cmd_partition(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
-    times = sorted(_parse_times(args.times, args.t))
+    times = _parse_times(args)
     rows = []
     for r in range(args.replicas):
         path = simulate.simulate_partition_fragmentation(
@@ -328,7 +308,6 @@ def cmd_partition(args):
                 rows.append((r, t, idx, "|".join(str(e) for e in elems), typ))
     _write_rows(args, ["replica", "time", "block", "elements", "type"],
                 list(zip(*rows)))
-    return EXIT_OK
 
 
 def cmd_tagged(args):
@@ -345,14 +324,12 @@ def cmd_tagged(args):
         js += path.j_values
         ss += path.s_values
     _write_rows(args, ["replica", "time", "J", "S"], columns)
-    return EXIT_OK
 
 
 def cmd_spectral(args):
     spec = parse_spec_file(args.spec)
-    thetas = _theta_values(args, spec)
     grid = []
-    for th in thetas:
+    for th in _theta_values(args):
         sd = spectral.perron_eigen(spec, th, with_derivatives=True)
         grid.append({
             "theta": th,
@@ -365,7 +342,7 @@ def cmd_spectral(args):
     try:
         tb, dphi = spectral.theta_bar(spec)
         report, failure = {"theta_bar": tb, "phi_prime_at_theta_bar": dphi}, None
-    except _NUMERIC_ERRORS as exc:
+    except (NoConvergence, MaximumAtBracketEdge) as exc:
         # the grid is still written; the error is raised after it
         report, failure = {"theta_bar": None, "phi_prime_at_theta_bar": None,
                            "theta_bar_error": type(exc).__name__}, exc
@@ -383,28 +360,17 @@ def cmd_spectral(args):
         dest.write("\n")
     if failure is not None:
         raise failure
-    return EXIT_OK
 
 
 def cmd_martingale(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
-    thetas = _theta_values(args, spec)
-    times = sorted(_parse_times(args.times, args.t))
-    sds = {th: spectral.perron_eigen(spec, th) for th in thetas}
-    rows = []
-    for r in range(args.replicas):
-        path = simulate.simulate_mass_fragmentation(
-            spec, max(times), replica_stream(seed, r),
-            initial_type=args.initial_type, mass_floor=args.mass_floor,
-            max_fragments=args.max_fragments)
-        for t in times:
-            snap = path.snapshot(t)
-            for th in thetas:
-                m = asymptotics.biggins_martingale(snap, sds[th])
-                rows.append((r, th, t, m))
+    thetas = _theta_values(args)
+    snapshots = _snapshots(args, spec, seed)  # checks --times first
+    sds = [spectral.perron_eigen(spec, th) for th in thetas]
+    rows = [(r, sd.theta, snap.t, asymptotics.biggins_martingale(snap, sd))
+            for r, snap in snapshots for sd in sds]
     _write_rows(args, ["replica", "theta", "t", "M"], list(zip(*rows)))
-    return EXIT_OK
 
 
 def cmd_limits(args):
@@ -435,7 +401,6 @@ def cmd_limits(args):
         "clt_oracle": asymptotics.gaussian_limit(f, u, -d2),
     }
     _write_json(args, doc)
-    return EXIT_OK
 
 
 def cmd_ldcount(args):
@@ -449,13 +414,12 @@ def cmd_ldcount(args):
     theta = args.theta_frac * tb
     sd = spectral.perron_eigen(spec, theta, with_derivatives=True)
     times = sorted(_float_list(args.t_grid, "--t-grid"))
-    floor = args.a * math.exp(-max(times) * sd.phi_d1)
+    # frozen fragments and their descendants stay below every window
+    floor, _ = asymptotics.ld_window(max(times), args.a, args.b, sd)
     counts = np.zeros((len(times), args.replicas, spec.k))
 
     def visit(ti, rep, mass, typ, frozen):
-        t = times[ti]
-        lo = args.a * math.exp(-t * sd.phi_d1)
-        hi = args.b * math.exp(-t * sd.phi_d1)
+        lo, hi = asymptotics.ld_window(times[ti], args.a, args.b, sd)
         sel = (mass >= lo) & (mass <= hi)
         for j in range(1, spec.k + 1):
             np.add.at(counts[ti, :, j - 1], rep[sel & (typ == j)], 1.0)
@@ -467,15 +431,13 @@ def cmd_ldcount(args):
     rows = []
     for ti, t in enumerate(times):
         for j in range(1, spec.k + 1):
-            shape = asymptotics.ld_predicted_shape(t, theta, args.a, args.b,
-                                                   j, sd)
+            shape = asymptotics.ld_predicted_shape(t, args.a, args.b, j, sd)
             mean = float(counts[ti, :, j - 1].mean())
             se = float(counts[ti, :, j - 1].std(ddof=1)
                        / math.sqrt(args.replicas))
             rows.append((t, theta, j, mean, se, shape))
     _write_rows(args, ["t", "theta", "type", "mean_count", "se",
                        "predicted_shape"], list(zip(*rows)))
-    return EXIT_OK
 
 
 def cmd_report(args):
@@ -503,7 +465,6 @@ def cmd_report(args):
         "seed": seed,
     }
     _write_json(args, doc)
-    return EXIT_OK
 
 
 # --- parser ----------------------------------------------------------------------
@@ -525,6 +486,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--initial-type", dest="initial_type", type=int,
                            default=1)
 
+    def snapshot_options(p):
+        p.add_argument("--t", type=float, default=1.0)
+        p.add_argument("--times", default=None,
+                       help="comma list of snapshot times")
+        p.add_argument("--mass-floor", dest="mass_floor", type=float,
+                       default=1e-9)
+        p.add_argument("--max-fragments", dest="max_fragments", type=int,
+                       default=2_000_000)
+
+    def theta_options(p):
+        p.add_argument("--theta", default=None,
+                       help="comma list of theta values")
+        p.add_argument("--theta-grid", dest="theta_grid", default=None,
+                       help=f"lo:hi:step, finite, at most {MAX_GRID_POINTS} "
+                            "points")
+
     p = sub.add_parser("validate", help="check a model file")
     common(p, seeded=False)
     p.set_defaults(func=cmd_validate, format="json")
@@ -535,11 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "mass.  fragment_id is its rank within that snapshot (from "
                     "0, in path-id order), not its id in the path.")
     common(p)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--times", default=None, help="comma list of snapshot times")
-    p.add_argument("--mass-floor", dest="mass_floor", type=float, default=1e-9)
-    p.add_argument("--max-fragments", dest="max_fragments", type=int,
-                   default=2_000_000)
+    snapshot_options(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("partition", help="partition-valued paths on {1..n}")
@@ -557,20 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="phi, derivatives, eigenvectors, "
                                         "critical exponent")
     common(p, seeded=False)
-    p.add_argument("--theta", default=None, help="comma list of theta values")
-    p.add_argument("--theta-grid", dest="theta_grid", default=None,
-                   help=f"lo:hi:step, finite, at most {MAX_GRID_POINTS} points")
+    theta_options(p)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("martingale", help="additive martingale replica table")
     common(p)
-    p.add_argument("--theta", default=None, help="comma list of theta values")
-    p.add_argument("--theta-grid", dest="theta_grid", default=None)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--times", default=None)
-    p.add_argument("--mass-floor", dest="mass_floor", type=float, default=1e-9)
-    p.add_argument("--max-fragments", dest="max_fragments", type=int,
-                   default=2_000_000)
+    theta_options(p)
+    snapshot_options(p)
     p.set_defaults(func=cmd_martingale)
 
     p = sub.add_parser("limits", help="LLN/CLT functionals vs. their limits")
@@ -607,32 +573,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(exc: Exception) -> None:
-    doc = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SpecValidationError):
-        doc["violations"] = [{"code": c, "message": m}
-                             for c, m in exc.violations]
-    json.dump(doc, sys.stderr, sort_keys=True)
-    sys.stderr.write("\n")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, InvalidArgument) as exc:
-        _emit_error(exc)
-        return EXIT_PARSE
-    except _VALIDATION_ERRORS as exc:
-        _emit_error(exc)
-        return EXIT_VALIDATION
-    except ResourceCapExceeded as exc:
-        _emit_error(exc)
-        return EXIT_RESOURCE
-    except MultifragError as exc:  # _NUMERIC_ERRORS and any other failure
-        _emit_error(exc)
-        return EXIT_NUMERIC
+        args.func(args)
+    except MultifragError as exc:
+        doc = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SpecValidationError):
+            doc["violations"] = [{"code": c, "message": m}
+                                 for c, m in exc.violations]
+        json.dump(doc, sys.stderr, sort_keys=True)
+        sys.stderr.write("\n")
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 
 class MultifragError(Exception):
-    """Base class for all multifrag errors."""
+    """Base class for all multifrag errors; ``exit_code`` is the CLI's exit
+    status for one: 4 (numeric failure) unless a subclass says otherwise."""
+
+    exit_code = 4
 
 
 # --- typed partition construction -------------------------------------------
@@ -32,7 +35,7 @@ class GroundSizeMismatch(MultifragError):
 
 
 class GroundSizeTooSmall(MultifragError):
-    pass
+    exit_code = 3
 
 
 # --- model specification ------------------------------------------------------
@@ -44,6 +47,8 @@ class SpecValidationError(MultifragError):
     such as "AtomAtUnit" or "NonConservativeAtom".
     """
 
+    exit_code = 3
+
     def __init__(self, violations):
         self.violations = list(violations)
         lines = "; ".join(f"{code}: {msg}" for code, msg in self.violations)
@@ -54,7 +59,7 @@ class SpecValidationError(MultifragError):
 
 
 class NotConservative(MultifragError):
-    pass
+    exit_code = 3
 
 
 class ThetaOutOfDomain(MultifragError):
@@ -62,7 +67,7 @@ class ThetaOutOfDomain(MultifragError):
 
 
 class DistinctErosionCoefficients(MultifragError):
-    pass
+    exit_code = 3
 
 
 # --- spectral computations ----------------------------------------------------
@@ -90,15 +95,17 @@ class InvalidWindow(MultifragError):
 class InvalidArgument(MultifragError, ValueError):
     """A library call got an argument outside its domain."""
 
+    exit_code = 2
+
 
 # --- driver -------------------------------------------------------------------
 
 class ParseError(MultifragError):
-    pass
+    exit_code = 2
 
 
 class ResourceCapExceeded(MultifragError):
-    pass
+    exit_code = 5
 
 
 # --- warnings -----------------------------------------------------------------

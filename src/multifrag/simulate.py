@@ -53,6 +53,8 @@ from .partitions import (
 from .streams import replica_stream
 
 DEFAULT_MASS_FLOOR = 1e-9
+# the most labels a partition path may store, summed over all its blocks
+MAX_PARTITION_LABELS = 10 ** 7
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -124,9 +126,8 @@ class FragmentationPath:
     the columns, made once per path.
     """
 
-    def __init__(self, spec, initial_type, t_max, mass_floor):
+    def __init__(self, spec, t_max, mass_floor):
         self.spec = spec
-        self.initial_type = initial_type
         self.t_max = t_max
         self.mass_floor = mass_floor
         self._mass: list[float] = []
@@ -210,7 +211,7 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     spec.check_type(initial_type)
     _check_horizon(t_max)
     _check_mass_floor(mass_floor)
-    path = FragmentationPath(spec, initial_type, t_max, mass_floor)
+    path = FragmentationPath(spec, t_max, mass_floor)
     cums = [cum.tolist() for cum in spec.atom_cum]
     # the mean clock time of each type; 0.0 for a type that never splits
     scales = [1.0 / rate if rate > 0 else 0.0
@@ -283,20 +284,14 @@ class ErodedPath:
                         frozen=base.frozen, dust=1.0 - float(masses.sum()))
 
 
-def apply_erosion(path: FragmentationPath, c: float | None = None) -> ErodedPath:
-    """Discounted view of ``path`` for the common erosion coefficient c."""
+def apply_erosion(path: FragmentationPath) -> ErodedPath:
+    """Discounted view of ``path`` at the model's common erosion rate."""
     coeffs = set(path.spec.erosion)
     if len(coeffs) > 1:
         raise DistinctErosionCoefficients(
             f"erosion coefficients {sorted(coeffs)} differ; the discount "
             f"trick needs a common value")
-    common = coeffs.pop()
-    if c is None:
-        c = common
-    elif c != common:
-        raise DistinctErosionCoefficients(
-            f"requested c = {c} but the spec declares {common}")
-    return ErodedPath(path, c)
+    return ErodedPath(path, coeffs.pop())
 
 
 class PartitionPath:
@@ -328,18 +323,29 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     hit draws an atom and replaces the block by a paintbox sample of the
     atom's outcome on the block's elements.  Only clocks of the block's own
     type are scheduled, which realizes the rule that atoms of mismatched
-    type are non-events.
+    type are non-events.  A path that would store more than
+    MAX_PARTITION_LABELS labels, summed over its blocks, raises
+    ResourceCapExceeded.
     """
     initial_type = int(spec.check_type(initial_type))
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
     _check_horizon(t_max)
+    too_many = (f"more than {MAX_PARTITION_LABELS} labels stored over the "
+                f"path; lower n or t_max")
+    if n > MAX_PARTITION_LABELS:
+        raise ResourceCapExceeded(too_many)
     rates = spec.type_rate.tolist()
     cums = [cum.tolist() for cum in spec.atom_cum]
     path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
+    stored = 0
 
     def add_block(elems, typ, birth):
+        nonlocal stored
+        stored += len(elems)
+        if stored > MAX_PARTITION_LABELS:
+            raise ResourceCapExceeded(too_many)
         uid = len(path._blocks)
         path._blocks.append((elems, typ, birth))
         path._end.append(math.inf)

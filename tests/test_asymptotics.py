@@ -19,6 +19,7 @@ from multifrag import (
     lattice_check,
     ld_count,
     ld_predicted_shape,
+    ld_window,
     ld_window_exponent,
     lln_statistic,
     perron_eigen,
@@ -202,13 +203,24 @@ def test_ld_count_trivial_windows(spec_c):
     snap = path.snapshot(3.0)
     total = 0
     for j in (1, 2):
-        obs, _ = ld_count(snap, 0.5, 1e-12, 1e12, j, sd)
+        obs, _ = ld_count(snap, 1e-12, 1e12, j, sd)
         total += obs
     assert total == len(snap.masses)
-    far, _ = ld_count(snap, 0.5, 1e9, 1e10, None, sd)
+    far, _ = ld_count(snap, 1e9, 1e10, None, sd)
     assert far == 0
     with pytest.raises(InvalidWindow):
-        ld_count(snap, 0.5, 2.0, 1.0, 1, sd)
+        ld_count(snap, 2.0, 1.0, 1, sd)
+
+
+def test_ld_window_bounds_the_counted_masses(spec_c):
+    sd = perron_eigen(spec_c, 0.5, with_derivatives=True)
+    lo, hi = ld_window(3.0, 0.5, 2.0, sd)
+    assert lo == pytest.approx(0.5 * math.exp(-3.0 * sd.phi_d1))
+    assert hi == pytest.approx(4.0 * lo)
+    snap = simulate_mass_fragmentation(spec_c, 3.0,
+                                       replica_stream(49, 1)).snapshot(3.0)
+    inside = (snap.masses >= lo) & (snap.masses <= hi)
+    assert ld_count(snap, 0.5, 2.0, None, sd)[0] == np.count_nonzero(inside)
 
 
 @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 1.0), (math.nan, 2.0),
@@ -216,20 +228,20 @@ def test_ld_count_trivial_windows(spec_c):
 def test_ld_predicted_shape_needs_a_below_b(spec_c, a, b):
     sd = perron_eigen(spec_c, 0.5, with_derivatives=True)
     with pytest.raises(InvalidWindow):
-        ld_predicted_shape(1.0, 0.5, a, b, 1, sd)
+        ld_predicted_shape(1.0, a, b, 1, sd)
 
 
 def test_ld_predicted_shape_profile(spec_c):
     tb, _ = theta_bar(spec_c)
     th = 0.5 * tb
     sd = perron_eigen(spec_c, th, with_derivatives=True)
-    s1 = ld_predicted_shape(10.0, th, 0.5, 2.0, 1, sd)
-    s2 = ld_predicted_shape(10.0, th, 0.5, 2.0, 2, sd)
+    s1 = ld_predicted_shape(10.0, 0.5, 2.0, 1, sd)
+    s2 = ld_predicted_shape(10.0, 0.5, 2.0, 2, sd)
     assert s1 / s2 == pytest.approx(sd.u[0] / sd.u[1])
     # growth exponent between consecutive times
     r = ld_window_exponent(sd)
-    ratio = (ld_predicted_shape(11.0, th, 0.5, 2.0, 1, sd)
-             / ld_predicted_shape(10.0, th, 0.5, 2.0, 1, sd))
+    ratio = (ld_predicted_shape(11.0, 0.5, 2.0, 1, sd)
+             / ld_predicted_shape(10.0, 0.5, 2.0, 1, sd))
     assert math.log(ratio * math.sqrt(11.0 / 10.0)) == pytest.approx(r)
 
 
@@ -362,9 +374,11 @@ BAD_ARGUMENTS = {
     "clt-at-zero": lambda spec: clt_statistic(AT_ZERO, bump(0.0, 1.0), 0.0),
     "largest-at-zero": lambda spec: largest_fragment_rates(AT_ZERO, 0.0),
     "shape-without-phi-d1": lambda spec: ld_predicted_shape(
-        1.0, 0.5, 0.5, 2.0, None, perron_eigen(spec, 0.5)),
+        1.0, 0.5, 2.0, None, perron_eigen(spec, 0.5)),
     "exponent-without-phi-d1": lambda spec: ld_window_exponent(
         perron_eigen(spec, 0.5)),
+    "window-without-phi-d1": lambda spec: ld_window(
+        1.0, 0.5, 2.0, perron_eigen(spec, 0.5)),
     "unknown-test-function": lambda spec: make_test_function("triangle"),
     "negative-variance": lambda spec: gaussian_limit(
         bump(0.0, 1.0), np.array([1.0]), -1.0),

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from multifrag import simulate, spectral
+from multifrag import cli, simulate, spectral
 from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
 from multifrag.errors import (
     MaximumAtBracketEdge,
+    MultifragError,
     NoConvergence,
     ParseError,
     SpecValidationError,
@@ -146,6 +147,21 @@ def test_exit_code_resource_cap(spec_b_file, capsys):
     assert code == 5
 
 
+def test_partition_above_the_label_cap_exits_at_once(spec_b_file, tmp_path,
+                                                      capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled a partition above the cap")
+
+    monkeypatch.setattr(simulate, "sample_paintbox", no_work)
+    out = tmp_path / "p.csv"
+    n = simulate.MAX_PARTITION_LABELS + 1
+    assert main(["partition", "--spec", spec_b_file, "--seed", "1",
+                 "--n", str(n), "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ResourceCapExceeded"
+    assert captured.out == "" and not out.exists()
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # reducible chain: spectral analysis must fail with a numeric error
     path = tmp_path / "red.json"
@@ -174,6 +190,55 @@ def test_exit_code_non_conservative_before_reducible(tmp_path, capsys):
     assert main(["spectral", "--spec", str(path), "--theta", "1"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NotConservative"
+
+
+def _error_classes(base=MultifragError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+# the documented exit code of each error class; any class not named gives 4
+EXIT_CODES = {
+    "ParseError": 2, "InvalidArgument": 2,
+    "SpecValidationError": 3, "NotConservative": 3,
+    "DistinctErosionCoefficients": 3, "GroundSizeTooSmall": 3,
+    "ResourceCapExceeded": 5,
+}
+
+
+@pytest.mark.parametrize("cls", [MultifragError, *_error_classes()],
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code(cls, spec_b_file, capsys,
+                                              monkeypatch):
+    exc = (cls([("Code", "message")]) if cls is SpecValidationError
+           else cls("message"))
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", failing)
+    expected = EXIT_CODES.get(cls.__name__, 4)
+    assert main(["validate", "--spec", spec_b_file]) == expected
+    assert json.loads(capsys.readouterr().err)["error"] == cls.__name__
+    assert cls.exit_code == expected
+    assert cls.exit_code in {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("command", ["spectral", "martingale"])
+@pytest.mark.parametrize("theta", ["-1", "-1.5", "0.5,-2"])
+def test_theta_out_of_domain_is_a_numeric_error_before_any_simulation(
+        spec_b_file, command, theta, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulated before theta was checked")
+
+    monkeypatch.setattr(simulate, "simulate_mass_fragmentation", no_work)
+    seed = ["--seed", "1"] if command == "martingale" else []
+    assert main([command, "--spec", spec_b_file, "--theta=" + theta]
+                + seed) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ThetaOutOfDomain"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "martingale"])
@@ -428,6 +493,56 @@ def test_spectral_keeps_its_grid_when_theta_bar_fails(spec_b_file, tmp_path,
         assert json.loads(captured.out) == failed
         assert set(json.loads(good_report)) == {"theta_bar",
                                                 "phi_prime_at_theta_bar"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectral_writes_nothing_when_a_grid_point_fails(spec_b_file, tmp_path,
+                                                         fmt, capsys,
+                                                         monkeypatch):
+    perron_eigen = spectral.perron_eigen
+
+    def failing_at_one(spec, theta, **kwargs):
+        if theta == 1.0:
+            raise NoConvergence("singular at theta = 1")
+        return perron_eigen(spec, theta, **kwargs)
+
+    monkeypatch.setattr(spectral, "perron_eigen", failing_at_one)
+    out = tmp_path / f"s.{fmt}"
+    assert main(["spectral", "--spec", spec_b_file, "--theta", "0.5,1",
+                 "--format", fmt, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NoConvergence"
+    assert captured.out == "" and not out.exists()
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: multifrag {command}")
+
+
+@pytest.mark.parametrize("first, second, options", [
+    ("simulate", "martingale", {"--t", "--times", "--mass-floor",
+                                "--max-fragments"}),
+    ("spectral", "martingale", {"--theta", "--theta-grid"}),
+])
+def test_shared_options_are_declared_alike(first, second, options):
+    def declared(command):
+        return {action.option_strings[0]:
+                (action.dest, action.type, action.default, action.help)
+                for action in _subparsers()[command]._actions
+                if set(action.option_strings) & options}
+
+    assert set(declared(first)) == options
+    assert declared(first) == declared(second)
 
 
 def test_spectral_rate_scaling(tmp_path):

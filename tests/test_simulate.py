@@ -122,7 +122,7 @@ def test_fragment_ids_outside_the_run_rejected(spec_c):
 
 def test_erosion_identity_at_zero(spec_b):
     path = simulate_mass_fragmentation(spec_b, 2.0, replica_stream(6, 0))
-    eroded = apply_erosion(path, 0.0)
+    eroded = apply_erosion(path)
     snap = eroded.snapshot(1.5)
     base = path.snapshot(1.5)
     assert np.allclose(snap.masses, base.masses)
@@ -158,10 +158,6 @@ def test_erosion_rejects_distinct_coefficients():
     path = simulate_mass_fragmentation(spec, 1.0, replica_stream(9, 0))
     with pytest.raises(DistinctErosionCoefficients):
         apply_erosion(path)
-    with pytest.raises(DistinctErosionCoefficients):
-        apply_erosion(simulate_mass_fragmentation(
-            fragmentation_spec(1, {1: []}, erosion=[1.0]),
-            1.0, replica_stream(9, 1)), c=2.0)
 
 
 # --- partition-valued paths ---------------------------------------------------------
@@ -181,6 +177,29 @@ def test_partition_initial_state(spec_b):
 def test_partition_needs_two_points(spec_b):
     with pytest.raises(GroundSizeTooSmall):
         simulate_partition_fragmentation(spec_b, 1, 1.0, replica_stream(10, 1))
+
+
+def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
+    # every event of SPEC-B stores its block's labels again, so a cap of
+    # three times n is reached after a few events
+    samples = []
+
+    def counting_paintbox(*args):
+        samples.append(args)
+        return sample_paintbox(*args)
+
+    monkeypatch.setattr(simulate_module, "sample_paintbox", counting_paintbox)
+    monkeypatch.setattr(simulate_module, "MAX_PARTITION_LABELS", 24)
+    path = simulate_partition_fragmentation(spec_b, 8, 0.01,
+                                            replica_stream(10, 2))
+    assert path.at(0.0) == one_block_partition(8, 1)
+    with pytest.raises(ResourceCapExceeded, match="more than 24 labels"):
+        simulate_partition_fragmentation(spec_b, 8, 50.0,
+                                         replica_stream(10, 2))
+    assert len(samples) >= 2
+    with pytest.raises(ResourceCapExceeded):
+        simulate_partition_fragmentation(spec_b, 25, 1.0,
+                                         replica_stream(10, 2))
 
 
 def test_partition_first_event_split_probability(spec_a):
