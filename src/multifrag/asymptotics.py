@@ -134,6 +134,8 @@ def ld_predicted_shape(t: float, a: float, b: float, j: int | None,
     """
     if not a < b:
         raise InvalidWindow(f"need a < b, got a = {a}, b = {b}")
+    if not 0.0 < t < math.inf:
+        raise InvalidArgument(f"t = {t} must be positive and finite")
     growth = ld_window_exponent(sd)
     uj = 1.0 if j is None else float(sd.u[j - 1])
     th1 = sd.theta + 1.0

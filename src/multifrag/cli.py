@@ -22,6 +22,7 @@ import numpy as np
 
 from . import asymptotics, measures, simulate, spectral
 from .errors import (
+    InvalidArgument,
     MaximumAtBracketEdge,
     MultifragError,
     NoConvergence,
@@ -313,6 +314,7 @@ def cmd_partition(args):
 def cmd_tagged(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
+    simulate.check_tagged_jumps(spec, args.t, args.replicas)
     columns = [], [], [], []
     replica, times, js, ss = columns
     for r in range(args.replicas):
@@ -409,20 +411,23 @@ def cmd_ldcount(args):
     if not 0.0 < args.a < args.b < math.inf:
         raise ParseError(f"--a/--b: need 0 < a < b < inf, "
                          f"got a = {args.a}, b = {args.b}")
+    times = sorted(_float_list(args.t_grid, "--t-grid"))
+    # checked before theta_bar: the predicted shape carries t^(-1/2)
+    if not all(0.0 < t < math.inf for t in times):
+        raise InvalidArgument(f"--t-grid: need 0 < t < inf, got {times}")
     asymptotics.lattice_check(spec)
     tb, _ = spectral.theta_bar(spec)
     theta = args.theta_frac * tb
     sd = spectral.perron_eigen(spec, theta, with_derivatives=True)
-    times = sorted(_float_list(args.t_grid, "--t-grid"))
     # frozen fragments and their descendants stay below every window
     floor, _ = asymptotics.ld_window(max(times), args.a, args.b, sd)
     counts = np.zeros((len(times), args.replicas, spec.k))
 
     def visit(ti, rep, mass, typ, frozen):
         lo, hi = asymptotics.ld_window(times[ti], args.a, args.b, sd)
-        sel = (mass >= lo) & (mass <= hi)
-        for j in range(1, spec.k + 1):
-            np.add.at(counts[ti, :, j - 1], rep[sel & (typ == j)], 1.0)
+        sel = np.flatnonzero((mass >= lo) & (mass <= hi))
+        counts[ti] += np.bincount(rep[sel] * spec.k + typ[sel] - 1,
+                                  minlength=counts[ti].size).reshape(-1, spec.k)
 
     simulate.mass_ensemble(spec, times, args.replicas, seed, visit,
                            initial_type=args.initial_type, mass_floor=floor,
@@ -562,7 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replica-chunk", dest="replica_chunk", type=int,
                    default=None)
     p.add_argument("--max-fragments", dest="max_fragments", type=int,
-                   default=50_000_000)
+                   default=50_000_000,
+                   help="fragments grown over all replicas before the run "
+                        "is refused (exit 5); a wave of n fragments peaks "
+                        "at about 110 n bytes")
     p.set_defaults(func=cmd_ldcount)
 
     p = sub.add_parser("report", help="aggregate model summary")

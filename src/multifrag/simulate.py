@@ -55,6 +55,8 @@ from .streams import replica_stream
 DEFAULT_MASS_FLOOR = 1e-9
 # the most labels a partition path may store, summed over all its blocks
 MAX_PARTITION_LABELS = 10 ** 7
+# the most jumps a tagged run may expect, summed over all its paths
+MAX_TAGGED_JUMPS = 10 ** 8
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -67,6 +69,20 @@ def _check_horizon(t_max: float) -> None:
     """Reject a run horizon that is not a positive finite number."""
     if not 0.0 < t_max < math.inf:
         raise InvalidArgument(f"t_max = {t_max} must be positive and finite")
+
+
+def check_tagged_jumps(spec: FragmentationSpec, t_max: float,
+                       n_paths: int) -> None:
+    """Refuse n_paths tagged paths to t_max before any work when
+    n_paths * t_max * max(type_rate) exceeds MAX_TAGGED_JUMPS.  Each path's
+    jump count is dominated by a Poisson variable with mean t_max *
+    max(type_rate), so this bounds the expected work of the run."""
+    expected = n_paths * t_max * float(spec.type_rate.max())
+    if expected > MAX_TAGGED_JUMPS:
+        raise ResourceCapExceeded(
+            f"{n_paths} tagged paths to t = {t_max} may take {expected:.3g} "
+            f"jumps, more than {MAX_TAGGED_JUMPS}; shorten the horizon or "
+            f"run fewer replicas")
 
 
 def _check_mass_floor(mass_floor: float) -> None:
@@ -395,6 +411,7 @@ def simulate_tagged(spec: FragmentationSpec, t_max: float,
     _check_horizon(t_max)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
+    check_tagged_jumps(spec, t_max, 1)
     rates = spec.type_rate.tolist()
     cums = [cum.tolist() for cum in spec.row_cum]
     first_row = spec.type_rows.tolist()
@@ -427,14 +444,17 @@ def _observation_times(times, n_replicas: int) -> np.ndarray:
     return np.sort(times)
 
 
-def _draw(cums, starts, types, u) -> np.ndarray:
+def _search_keys(cums) -> np.ndarray:
+    """The selection tables as one sorted key per entry: type + 1j * cum.
+    numpy orders complex numbers by real part, then imaginary part."""
+    return np.concatenate([i + 1j * cum for i, cum in enumerate(cums)])
+
+
+def _draw(keys, types, u) -> np.ndarray:
     """Index of the entry that each uniform u selects in the selection table
-    of its type, counted from the start of the whole table."""
-    index = np.empty(len(types), dtype=np.int64)
-    for i in range(1, len(cums)):
-        lanes = types == i
-        index[lanes] = starts[i] + np.searchsorted(cums[i], u[lanes], side="right")
-    return index
+    of its type, counted from the start of the whole table: the entries of
+    every lower type plus those of its own type with cum <= u."""
+    return np.searchsorted(keys, types + 1j * u, side="right")
 
 
 def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
@@ -449,35 +469,38 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
     times = _observation_times(times, n_replicas)
+    check_tagged_jumps(spec, times[-1], n_replicas)
     rng = replica_stream(seed, 0)
+    keys = _search_keys(spec.row_cum)
     r = n_replicas
-    t_cur = np.zeros(r)
-    j = np.full(r, initial_type, dtype=np.int64)
-    s = np.zeros(r)
     out_j = np.zeros((len(times), r), dtype=np.int64)
     out_s = np.zeros((len(times), r))
-    active = np.arange(r)
+    # replica id, time, J and S of each running lane, in replica order
+    lane, t_cur = np.arange(r), np.zeros(r)
+    j, s = np.full(r, initial_type, dtype=np.int64), np.zeros(r)
     horizon = times[-1]
-    while active.size:
-        lane_rates = spec.type_rate[j[active]]
-        stuck = lane_rates <= 0
-        dt = np.full(active.size, np.inf)
-        dt[~stuck] = rng.exponential(1.0, int((~stuck).sum())) / lane_rates[~stuck]
-        t_new = t_cur[active] + dt
+    while lane.size:
+        lane_rates = spec.type_rate[j]
+        stuck = lane_rates <= 0  # a type without atoms: no clock, no jump
+        if stuck.any():
+            dt = np.full(lane.size, np.inf)
+            dt[~stuck] = (rng.exponential(1.0, int((~stuck).sum()))
+                          / lane_rates[~stuck])
+        else:
+            dt = rng.exponential(1.0, lane.size) / lane_rates
+        t_new = t_cur + dt
         for ti, tau in enumerate(times):
-            hit = (t_cur[active] <= tau) & (t_new > tau)
-            lanes = active[hit]
-            out_j[ti, lanes] = j[lanes]
-            out_s[ti, lanes] = s[lanes]
+            hit = (t_cur <= tau) & (t_new > tau)
+            out_j[ti, lane[hit]] = j[hit]
+            out_s[ti, lane[hit]] = s[hit]
         cont = t_new <= horizon
-        lanes = active[cont]
-        if lanes.size:
-            row = _draw(spec.row_cum, spec.type_rows, j[lanes],
-                        rng.random(lanes.size))
-            s[lanes] -= spec.row_log_mass[row]
-            j[lanes] = spec.row_child[row]
-            t_cur[lanes] = t_new[cont]
-        active = lanes
+        if not cont.all():
+            lane, j, s, t_new = lane[cont], j[cont], s[cont], t_new[cont]
+        if lane.size:
+            row = _draw(keys, j, rng.random(lane.size))
+            s -= spec.row_log_mass[row]
+            j = spec.row_child[row]
+        t_cur = t_new
     return out_j, out_s
 
 
@@ -494,8 +517,10 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     fragments of that wave alive at that time; accumulate across calls.
     Replicas are processed in chunks (all at once by default); replica r of
     chunk c draws from the stream keyed (seed, first replica of c), so
-    results are reproducible for fixed seed and chunking.  Returns the
-    per-replica dust mass shed by non-conservative atoms.
+    results are reproducible for fixed seed and chunking.  Growing more than
+    ``max_fragments`` fragments, counted over all replicas, raises
+    ResourceCapExceeded before the wave that would pass it is allocated.
+    Returns the per-replica dust mass shed by non-conservative atoms.
     """
     spec.check_type(initial_type)
     times = _observation_times(times, n_replicas)
@@ -505,20 +530,22 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     horizon = float(times[-1])
     dust_out = np.zeros(n_replicas)
     chunk = n_replicas if replica_chunk is None else int(replica_chunk)
+    keys = _search_keys(spec.atom_cum)
+    cap = math.inf if max_fragments is None else max_fragments
+    too_many = (f"more than {max_fragments} fragments grown; raise "
+                f"mass_floor or shorten the horizon")
     produced = 0
     for start in range(0, n_replicas, chunk):
         stop = min(start + chunk, n_replicas)
+        produced += stop - start
+        if produced > cap:
+            raise ResourceCapExceeded(too_many)
         rng = replica_stream(seed, start)
         rep = np.arange(start, stop, dtype=np.int64)
         mass = np.ones(stop - start)
         typ = np.full(stop - start, initial_type, dtype=np.int64)
         birth = np.zeros(stop - start)
         while rep.size:
-            produced += rep.size
-            if max_fragments is not None and produced > max_fragments:
-                raise ResourceCapExceeded(
-                    f"more than {max_fragments} fragments grown; raise "
-                    f"mass_floor or shorten the horizon")
             lane_rates = spec.type_rate[typ]
             frozen = mass < mass_floor
             can_split = ~frozen & (lane_rates > 0)
@@ -527,22 +554,25 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
                 split_t[can_split] = birth[can_split] + rng.exponential(
                     1.0, int(can_split.sum())) / lane_rates[can_split]
             for ti, tau in enumerate(times):
-                alive = (birth <= tau) & (split_t > tau)
-                if alive.any():
+                alive = np.flatnonzero((birth <= tau) & (split_t > tau))
+                if alive.size:
                     visit(ti, rep[alive], mass[alive], typ[alive],
                           frozen[alive])
-            split = can_split & (split_t <= horizon)
-            if not split.any():
+            split = np.flatnonzero(can_split & (split_t <= horizon))
+            if not split.size:
                 break
             s_rep, s_mass, s_typ, s_time = (
                 rep[split], mass[split], typ[split], split_t[split])
-            ta = _draw(spec.atom_cum, spec.type_atoms, s_typ,
-                       rng.random(s_rep.size))
+            ta = _draw(keys, s_typ, rng.random(s_rep.size))
             shed = s_mass * spec.atom_dust[ta]
             if shed.any():
                 np.add.at(dust_out, s_rep, shed)
             lens = spec.atom_rows[ta]
             total = int(lens.sum())
+            # checked before the next wave is allocated
+            produced += total
+            if produced > cap:
+                raise ResourceCapExceeded(too_many)
             ends = np.cumsum(lens)
             gather = (np.arange(total) - np.repeat(ends - lens, lens)
                       + np.repeat(spec.atom_first_row[ta], lens))

@@ -375,6 +375,10 @@ BAD_ARGUMENTS = {
     "largest-at-zero": lambda spec: largest_fragment_rates(AT_ZERO, 0.0),
     "shape-without-phi-d1": lambda spec: ld_predicted_shape(
         1.0, 0.5, 2.0, None, perron_eigen(spec, 0.5)),
+    "shape-at-zero": lambda spec: ld_predicted_shape(
+        0.0, 0.5, 2.0, None, perron_eigen(spec, 0.5, with_derivatives=True)),
+    "count-at-zero": lambda spec: ld_count(
+        AT_ZERO, 0.5, 2.0, 1, perron_eigen(spec, 0.5, with_derivatives=True)),
     "exponent-without-phi-d1": lambda spec: ld_window_exponent(
         perron_eigen(spec, 0.5)),
     "window-without-phi-d1": lambda spec: ld_window(

@@ -322,6 +322,58 @@ def test_ldcount_window_is_checked_before_any_work(tmp_path, window, capsys,
     assert err["message"].startswith("--a/--b")
 
 
+@pytest.mark.parametrize("grid", ["0,2", "2,0", "-0.0,4", "2,nan", "inf,2"])
+def test_ldcount_times_are_checked_before_any_work(tmp_path, grid, capsys,
+                                                   monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the times were checked")
+
+    monkeypatch.setattr(spectral, "theta_bar", no_work)
+    monkeypatch.setattr(simulate, "mass_ensemble", no_work)
+    path, out = tmp_path / "c.json", tmp_path / "ld.csv"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    assert main(["ldcount", "--spec", str(path), "--seed", "1", "--replicas",
+                 "5", "--out", str(out), "--t-grid=" + grid]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidArgument"
+    assert err["message"].startswith("--t-grid")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tagged", "--t", "1e9", "--replicas", "1"],
+    ["limits", "--t", "1e12"],
+    ["report", "--t", "1e12"]], ids=["tagged", "limits", "report"])
+def test_tagged_runs_above_the_jump_cap_exit_at_once(spec_b_file, tmp_path,
+                                                     argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew a jump above the cap")
+
+    monkeypatch.setattr(simulate, "replica_stream", no_work)
+    monkeypatch.setattr(cli, "replica_stream", no_work)
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--spec", spec_b_file, "--seed", "1", "--out",
+                            str(out)] + argv[1:]) == 5
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ResourceCapExceeded"
+    assert captured.out == "" and not out.exists()
+
+
+def test_small_jump_cap_refuses_the_benchmark_limits_shape(tmp_path, capsys,
+                                                           monkeypatch):
+    # 50,000 replicas to t = 50 at rate 1 expect 2.5 M jumps
+    path, out = tmp_path / "c.json", tmp_path / "l.json"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    argv = ["limits", "--spec", str(path), "--seed", "1", "--replicas",
+            "50000", "--t", "50", "--out", str(out)]
+    assert 50_000 * 50 * 1.0 <= simulate.MAX_TAGGED_JUMPS
+    monkeypatch.setattr(simulate, "MAX_TAGGED_JUMPS", 2_000_000)
+    assert main(argv) == 5
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceCapExceeded"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [
     "0:1:nan", "0:1:inf", "0:1:0", "0:nan:1", "0:inf:1", "nan:1:0.5",
     "-inf:1:0.5", "1:0:0.5", "0:1e8:1e-6", "0:1:1e-5"])

@@ -1,0 +1,285 @@
+"""The vectorized replica drivers against boolean-mask references.
+
+``_reference_draw``, ``_reference_tagged_ensemble`` and
+``_reference_mass_ensemble`` index every column with a boolean mask, keep
+full-length tagged state behind an ``active`` index array and draw with one
+``searchsorted`` per type.  The drivers in ``multifrag.simulate`` must make
+the same draws in the same order and return the same bits: the same visit
+calls, array for array, the same dust vector and the same (J, S) arrays.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multifrag import fragmentation_spec, mass_ensemble, tagged_ensemble
+from multifrag import simulate as simulate_module
+from multifrag.errors import (
+    InvalidArgument,
+    NotConservative,
+    ResourceCapExceeded,
+)
+from multifrag.simulate import (
+    DEFAULT_MASS_FLOOR,
+    _check_mass_floor,
+    _observation_times,
+    replica_stream,
+)
+
+reference_settings = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+# --- references: same draws, same order ---------------------------------------------
+
+def _reference_draw(cums, starts, types, u) -> np.ndarray:
+    """Index of the entry that each uniform u selects in the selection table
+    of its type, counted from the start of the whole table."""
+    index = np.empty(len(types), dtype=np.int64)
+    for i in range(1, len(cums)):
+        lanes = types == i
+        index[lanes] = starts[i] + np.searchsorted(cums[i], u[lanes], side="right")
+    return index
+
+
+def _reference_tagged_ensemble(spec, times, n_replicas, seed, *,
+                               initial_type=1):
+    spec.check_type(initial_type)
+    if not spec.conservative:
+        raise NotConservative("tagged dynamics need a conservative spec")
+    times = _observation_times(times, n_replicas)
+    rng = replica_stream(seed, 0)
+    r = n_replicas
+    t_cur = np.zeros(r)
+    j = np.full(r, initial_type, dtype=np.int64)
+    s = np.zeros(r)
+    out_j = np.zeros((len(times), r), dtype=np.int64)
+    out_s = np.zeros((len(times), r))
+    active = np.arange(r)
+    horizon = times[-1]
+    while active.size:
+        lane_rates = spec.type_rate[j[active]]
+        stuck = lane_rates <= 0
+        dt = np.full(active.size, np.inf)
+        dt[~stuck] = rng.exponential(1.0, int((~stuck).sum())) / lane_rates[~stuck]
+        t_new = t_cur[active] + dt
+        for ti, tau in enumerate(times):
+            hit = (t_cur[active] <= tau) & (t_new > tau)
+            lanes = active[hit]
+            out_j[ti, lanes] = j[lanes]
+            out_s[ti, lanes] = s[lanes]
+        cont = t_new <= horizon
+        lanes = active[cont]
+        if lanes.size:
+            row = _reference_draw(spec.row_cum, spec.type_rows, j[lanes],
+                                  rng.random(lanes.size))
+            s[lanes] -= spec.row_log_mass[row]
+            j[lanes] = spec.row_child[row]
+            t_cur[lanes] = t_new[cont]
+        active = lanes
+    return out_j, out_s
+
+
+def _reference_mass_ensemble(spec, times, n_replicas, seed, visit, *,
+                             initial_type=1, mass_floor=DEFAULT_MASS_FLOOR,
+                             replica_chunk=None, max_fragments=None):
+    spec.check_type(initial_type)
+    times = _observation_times(times, n_replicas)
+    _check_mass_floor(mass_floor)
+    if replica_chunk is not None and replica_chunk < 1:
+        raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
+    horizon = float(times[-1])
+    dust_out = np.zeros(n_replicas)
+    chunk = n_replicas if replica_chunk is None else int(replica_chunk)
+    produced = 0
+    for start in range(0, n_replicas, chunk):
+        stop = min(start + chunk, n_replicas)
+        rng = replica_stream(seed, start)
+        rep = np.arange(start, stop, dtype=np.int64)
+        mass = np.ones(stop - start)
+        typ = np.full(stop - start, initial_type, dtype=np.int64)
+        birth = np.zeros(stop - start)
+        while rep.size:
+            produced += rep.size
+            if max_fragments is not None and produced > max_fragments:
+                raise ResourceCapExceeded(
+                    f"more than {max_fragments} fragments grown; raise "
+                    f"mass_floor or shorten the horizon")
+            lane_rates = spec.type_rate[typ]
+            frozen = mass < mass_floor
+            can_split = ~frozen & (lane_rates > 0)
+            split_t = np.full(rep.size, np.inf)
+            if can_split.any():
+                split_t[can_split] = birth[can_split] + rng.exponential(
+                    1.0, int(can_split.sum())) / lane_rates[can_split]
+            for ti, tau in enumerate(times):
+                alive = (birth <= tau) & (split_t > tau)
+                if alive.any():
+                    visit(ti, rep[alive], mass[alive], typ[alive],
+                          frozen[alive])
+            split = can_split & (split_t <= horizon)
+            if not split.any():
+                break
+            s_rep, s_mass, s_typ, s_time = (
+                rep[split], mass[split], typ[split], split_t[split])
+            ta = _reference_draw(spec.atom_cum, spec.type_atoms, s_typ,
+                                 rng.random(s_rep.size))
+            shed = s_mass * spec.atom_dust[ta]
+            if shed.any():
+                np.add.at(dust_out, s_rep, shed)
+            lens = spec.atom_rows[ta]
+            total = int(lens.sum())
+            ends = np.cumsum(lens)
+            gather = (np.arange(total) - np.repeat(ends - lens, lens)
+                      + np.repeat(spec.atom_first_row[ta], lens))
+            rep = np.repeat(s_rep, lens)
+            mass = np.repeat(s_mass, lens) * spec.row_mass[gather]
+            typ = spec.row_child[gather]
+            birth = np.repeat(s_time, lens)
+    return dust_out
+
+
+# --- random models --------------------------------------------------------------------
+
+@st.composite
+def models(draw, conservative):
+    """1-6 types with 0-3 atoms each; type 1 always splits.  A conservative
+    model has 2-4 children per atom summing to mass 1; otherwise atoms keep
+    a fraction of the mass and may be pure dust (no children).  A type with
+    no atoms never splits, so tagged lanes that enter it are stuck."""
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dislocation = {}
+    for i in range(1, k + 1):
+        atoms = []
+        for _ in range(draw(st.integers(1 if i == 1 else 0, 3))):
+            n = int(rng.integers(2, 5)) if conservative else int(rng.integers(0, 5))
+            raw = rng.random(n) + 0.05
+            masses = raw / raw.sum()
+            if not conservative:
+                masses = masses * rng.uniform(0.3, 1.0)
+            types = rng.integers(1, k + 1, n)
+            atoms.append((float(rng.uniform(0.1, 2.0)),
+                          list(zip(masses, types))))
+        dislocation[i] = atoms
+    return fragmentation_spec(k, dislocation)
+
+
+# unsorted, with 0 and duplicates among the draws
+observation_times = st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=5)
+
+
+def _recorder(calls):
+    def visit(ti, rep, mass, typ, frozen):
+        calls.append((ti,) + tuple((a.dtype.str, a.shape, a.tobytes())
+                                   for a in (rep, mass, typ, frozen)))
+    return visit
+
+
+def _mass_runs(spec, times, n, seed, **kwargs):
+    """(visits, dust or the error raised) of the driver and the reference."""
+    runs = []
+    for driver in (mass_ensemble, _reference_mass_ensemble):
+        calls = []
+        try:
+            result = driver(spec, times, n, seed, _recorder(calls), **kwargs)
+        except ResourceCapExceeded as exc:
+            result = str(exc)
+        runs.append((calls, result))
+    return runs
+
+
+# --- equality ------------------------------------------------------------------------
+
+@reference_settings
+@given(spec=models(conservative=False), times=observation_times,
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 63),
+       chunk=st.sampled_from([None, 1, 2, 3, 7]),
+       floor=st.sampled_from([0.01, 0.05, 0.2]))
+def test_mass_ensemble_matches_its_reference(spec, times, n, seed, chunk,
+                                             floor):
+    (calls, dust), (ref_calls, ref_dust) = _mass_runs(
+        spec, times, n, seed, mass_floor=floor, replica_chunk=chunk)
+    assert calls == ref_calls
+    assert dust.tobytes() == ref_dust.tobytes()
+
+
+@reference_settings
+@given(spec=models(conservative=True), times=observation_times,
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 63))
+def test_tagged_ensemble_matches_its_reference(spec, times, n, seed):
+    initial_type = 1 + seed % spec.k
+    j, s = tagged_ensemble(spec, times, n, seed, initial_type=initial_type)
+    ref_j, ref_s = _reference_tagged_ensemble(spec, times, n, seed,
+                                              initial_type=initial_type)
+    assert j.dtype == ref_j.dtype and j.tobytes() == ref_j.tobytes()
+    assert s.dtype == ref_s.dtype and s.tobytes() == ref_s.tobytes()
+
+
+def test_tagged_ensemble_matches_its_reference_with_stuck_lanes():
+    # type 2 has no atoms: every lane that enters it stops jumping
+    spec = fragmentation_spec(3, {1: [(1.0, [(0.6, 1), (0.4, 2)])],
+                                  3: [(0.7, [(0.5, 2), (0.5, 3)])]})
+    for typ in (1, 2, 3):
+        j, s = tagged_ensemble(spec, [3.0, 0.0, 1.0], 200, 5, initial_type=typ)
+        ref_j, ref_s = _reference_tagged_ensemble(spec, [3.0, 0.0, 1.0], 200, 5,
+                                                  initial_type=typ)
+        assert j.tobytes() == ref_j.tobytes() and s.tobytes() == ref_s.tobytes()
+        assert (j[-1] == 2).any()
+
+
+@reference_settings
+@given(spec=models(conservative=False), seed=st.integers(0, 2 ** 63))
+def test_draw_matches_its_reference(spec, seed):
+    rng = np.random.default_rng(seed)
+    for cums, starts in ((spec.atom_cum, spec.type_atoms),
+                         (spec.row_cum, spec.type_rows)):
+        keys = simulate_module._search_keys(cums)
+        drawable = [i for i in range(1, spec.k + 1) if cums[i].size]
+        if not drawable:
+            continue
+        # every table entry, 0, the top uniform and random values
+        u = np.concatenate([np.concatenate(cums), [0.0, 1.0 - 2.0 ** -53],
+                            rng.random(50)])
+        for typ in drawable:
+            types = np.full(u.size, typ, dtype=np.int64)
+            assert (simulate_module._draw(keys, types, u).tobytes()
+                    == _reference_draw(cums, starts, types, u).tobytes())
+        types = rng.choice(drawable, u.size)
+        assert (simulate_module._draw(keys, types, u).tobytes()
+                == _reference_draw(cums, starts, types, u).tobytes())
+
+
+def test_draw_counts_equal_entries_below():
+    # SPEC-C: type 1 has one atom, type 2 one atom with three children
+    spec = fragmentation_spec(2, {
+        1: [(1.0, [(0.6, 1), (0.4, 2)])],
+        2: [(1.0, [(0.5, 2), (0.3, 1), (0.2, 1)])]})
+    keys = simulate_module._search_keys(spec.row_cum)
+    assert spec.row_cum[1][-1] == 1.0 and spec.row_cum[2][-1] == 1.0
+    types = np.array([1, 1, 1, 2, 2, 2, 2])
+    u = np.array([0.0, spec.row_cum[1][0], 0.99, 0.0, spec.row_cum[2][0],
+                  spec.row_cum[2][1], 0.95])
+    assert simulate_module._draw(keys, types, u).tolist() == [0, 1, 1, 2, 3, 4, 4]
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.05])
+def test_mass_ensemble_fragment_cap_refuses_the_same_runs(floor):
+    spec = fragmentation_spec(2, {
+        1: [(1.0, [(0.6, 1), (0.4, 2)]), (0.5, [])],
+        2: [(1.0, [(0.5, 2), (0.3, 1), (0.1, 1)])]})
+    raised = set()
+    for cap in [1, 2, 5, 9, 10, 11, 30, 100, 300, 1000, 3000]:
+        for chunk in (None, 2, 5):
+            (calls, result), (ref_calls, ref_result) = _mass_runs(
+                spec, [1.0, 3.0], 10, 4, mass_floor=floor, replica_chunk=chunk,
+                max_fragments=cap)
+            assert calls == ref_calls
+            assert type(result) is type(ref_result)
+            if isinstance(result, str):
+                assert result == ref_result
+                raised.add(cap)
+            else:
+                assert result.tobytes() == ref_result.tobytes()
+    assert 1 in raised and 3000 not in raised

@@ -202,6 +202,17 @@ def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
                                          replica_stream(10, 2))
 
 
+def test_tagged_jump_cap_refuses_before_any_draw(spec_c, monkeypatch):
+    # SPEC-C splits at rate 1, so n paths to t expect at most n t jumps
+    monkeypatch.setattr(simulate_module, "MAX_TAGGED_JUMPS", 1000)
+    with pytest.raises(ResourceCapExceeded, match="more than 1000"):
+        simulate_tagged(spec_c, 1001.0, None)
+    with pytest.raises(ResourceCapExceeded, match="more than 1000"):
+        tagged_ensemble(spec_c, [1.0, 101.0], 10, 5)
+    assert simulate_tagged(spec_c, 1000.0, replica_stream(5, 0)).n_jumps > 0
+    tagged_ensemble(spec_c, [100.0], 10, 5)
+
+
 def test_partition_first_event_split_probability(spec_a):
     # on {1, 2} the first hit keeps the block whole with probability 1/2
     reps = 4000
