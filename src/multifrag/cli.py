@@ -314,7 +314,8 @@ def cmd_partition(args):
 def cmd_tagged(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
-    simulate.check_tagged_jumps(spec, args.t, args.replicas)
+    simulate.check_tagged_run(spec, args.t, args.replicas,
+                              initial_type=args.initial_type)
     columns = [], [], [], []
     replica, times, js, ss = columns
     for r in range(args.replicas):
@@ -426,8 +427,8 @@ def cmd_ldcount(args):
     def visit(ti, rep, mass, typ, frozen):
         lo, hi = asymptotics.ld_window(times[ti], args.a, args.b, sd)
         sel = np.flatnonzero((mass >= lo) & (mass <= hi))
-        counts[ti] += np.bincount(rep[sel] * spec.k + typ[sel] - 1,
-                                  minlength=counts[ti].size).reshape(-1, spec.k)
+        # counts[ti] is contiguous, so the reshape is a view
+        np.add.at(counts[ti].reshape(-1), rep[sel] * spec.k + typ[sel] - 1, 1.0)
 
     simulate.mass_ensemble(spec, times, args.replicas, seed, visit,
                            initial_type=args.initial_type, mass_floor=floor,

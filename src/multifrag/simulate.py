@@ -71,12 +71,24 @@ def _check_horizon(t_max: float) -> None:
         raise InvalidArgument(f"t_max = {t_max} must be positive and finite")
 
 
-def check_tagged_jumps(spec: FragmentationSpec, t_max: float,
-                       n_paths: int) -> None:
-    """Refuse n_paths tagged paths to t_max before any work when
-    n_paths * t_max * max(type_rate) exceeds MAX_TAGGED_JUMPS.  Each path's
-    jump count is dominated by a Poisson variable with mean t_max *
-    max(type_rate), so this bounds the expected work of the run."""
+def check_tagged_run(spec: FragmentationSpec, t_max: float, n_paths: int,
+                     *, initial_type: int = 1) -> None:
+    """Refuse n_paths tagged paths to t_max before any work, with the errors
+    of simulate_tagged in its order: a bad initial type or horizon, a
+    non-conservative spec, then more expected jumps than MAX_TAGGED_JUMPS."""
+    spec.check_type(initial_type)
+    _check_horizon(t_max)
+    if not spec.conservative:
+        raise NotConservative("tagged dynamics need a conservative spec")
+    _check_tagged_jumps(spec, t_max, n_paths)
+
+
+def _check_tagged_jumps(spec: FragmentationSpec, t_max: float,
+                        n_paths: int) -> None:
+    """Raise ResourceCapExceeded when n_paths * t_max * max(type_rate)
+    exceeds MAX_TAGGED_JUMPS.  Each path's jump count is dominated by a
+    Poisson variable with mean t_max * max(type_rate), so this bounds the
+    expected work of the run."""
     expected = n_paths * t_max * float(spec.type_rate.max())
     if expected > MAX_TAGGED_JUMPS:
         raise ResourceCapExceeded(
@@ -407,11 +419,7 @@ def simulate_tagged(spec: FragmentationSpec, t_max: float,
                     rng: np.random.Generator, *,
                     initial_type: int = 1) -> TaggedPath:
     """Path of the tagged pair (J, S) up to t_max; S_0 = 0."""
-    spec.check_type(initial_type)
-    _check_horizon(t_max)
-    if not spec.conservative:
-        raise NotConservative("tagged dynamics need a conservative spec")
-    check_tagged_jumps(spec, t_max, 1)
+    check_tagged_run(spec, t_max, 1, initial_type=initial_type)
     rates = spec.type_rate.tolist()
     cums = [cum.tolist() for cum in spec.row_cum]
     first_row = spec.type_rows.tolist()
@@ -469,7 +477,7 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
     times = _observation_times(times, n_replicas)
-    check_tagged_jumps(spec, times[-1], n_replicas)
+    _check_tagged_jumps(spec, times[-1], n_replicas)
     rng = replica_stream(seed, 0)
     keys = _search_keys(spec.row_cum)
     r = n_replicas
@@ -481,13 +489,9 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     horizon = times[-1]
     while lane.size:
         lane_rates = spec.type_rate[j]
-        stuck = lane_rates <= 0  # a type without atoms: no clock, no jump
-        if stuck.any():
-            dt = np.full(lane.size, np.inf)
-            dt[~stuck] = (rng.exponential(1.0, int((~stuck).sum()))
-                          / lane_rates[~stuck])
-        else:
-            dt = rng.exponential(1.0, lane.size) / lane_rates
+        stuck = lane_rates <= 0
+        dt = np.full(lane.size, np.inf)
+        dt[~stuck] = rng.exponential(1.0, int((~stuck).sum())) / lane_rates[~stuck]
         t_new = t_cur + dt
         for ti, tau in enumerate(times):
             hit = (t_cur <= tau) & (t_new > tau)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multifrag import cli, simulate, spectral
+from multifrag import asymptotics, cli, simulate, spectral
 from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
 from multifrag.errors import (
     MaximumAtBracketEdge,
@@ -360,6 +360,28 @@ def test_tagged_runs_above_the_jump_cap_exit_at_once(spec_b_file, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("model, argv, code, error", [
+    ("dusty", ["--t", "1e12"], 3, "NotConservative"),
+    ("dusty", ["--t", "nan"], 2, "ParseError"),
+    ("spec_c", ["--t", "1e12", "--initial-type", "3"], 2, "ParseError"),
+    ("spec_c", ["--t", "1e12", "--replicas", "0"], 2, "ParseError")],
+    ids=["dusty", "dusty-nan", "bad-type", "no-replicas"])
+def test_tagged_checks_its_arguments_before_the_jump_cap(tmp_path, model, argv,
+                                                         code, error, capsys,
+                                                         monkeypatch):
+    # the errors and their order are those of simulate_tagged's own checks
+    dusty = {"types": 2, "dislocation": {
+        "1": [{"rate": 1.0, "fragments": [[0.5, 1], [0.3, 2]]}],
+        "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.4, 2]]}]}}
+    path, out = tmp_path / "m.json", tmp_path / "out"
+    path.write_text(json.dumps(dusty if model == "dusty" else SPEC_C_DOC))
+    monkeypatch.setattr(simulate, "MAX_TAGGED_JUMPS", 0)
+    assert main(["tagged", "--spec", str(path), "--seed", "1", "--out",
+                 str(out)] + argv) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists()
+
+
 def test_small_jump_cap_refuses_the_benchmark_limits_shape(tmp_path, capsys,
                                                            monkeypatch):
     # 50,000 replicas to t = 50 at rate 1 expect 2.5 M jumps
@@ -673,6 +695,41 @@ def test_ldcount_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,theta,type,mean_count,se,predicted_shape"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_ldcount_counts_every_window_visit_with_many_small_chunks(
+        tmp_path, monkeypatch):
+    # replica ids far above the chunk size index the counts exactly
+    visits, run = [], simulate.mass_ensemble
+
+    def recording(spec, times, n_replicas, seed, visit, **kwargs):
+        def both(*arrays):
+            visits.append([a.copy() for a in arrays[1:]] + [arrays[0]])
+            visit(*arrays)
+        return run(spec, times, n_replicas, seed, both, **kwargs)
+
+    monkeypatch.setattr(simulate, "mass_ensemble", recording)
+    path, out = tmp_path / "c.json", tmp_path / "ld.csv"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    replicas, times = 1500, [2.0, 3.0]
+    assert main(["ldcount", "--spec", str(path), "--seed", "4", "--replicas",
+                 str(replicas), "--t-grid", "3,2", "--replica-chunk", "7",
+                 "--out", str(out)]) == 0
+    sd = spectral.perron_eigen(parse_spec_file(str(path)), float(
+        out.read_text().splitlines()[1].split(",")[1]), with_derivatives=True)
+    counts = np.zeros((2, replicas, 2))
+    for rep, mass, typ, frozen, ti in visits:
+        lo, hi = asymptotics.ld_window(times[ti], 0.5, 2.0, sd)
+        for j in (1, 2):
+            np.add.at(counts[ti, :, j - 1],
+                      rep[(mass >= lo) & (mass <= hi) & (typ == j)], 1.0)
+    assert counts.sum() > 0 and max(v[0].max() for v in visits) > 1400
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for (t, _, j, mean, se, _), (ti, jj) in zip(rows, np.ndindex(2, 2)):
+        assert (float(t), int(j)) == (times[ti], jj + 1)
+        column = counts[ti, :, jj]
+        assert float(mean) == float(column.mean())
+        assert float(se) == float(column.std(ddof=1) / math.sqrt(replicas))
 
 
 def test_report_summary(spec_b_file, tmp_path):
