@@ -29,6 +29,7 @@ from .asymptotics import (
     make_test_function,
 )
 from .measures import (
+    THETA_LOWER,
     DislocationAtom,
     FragmentationSpec,
     MapCharacteristics,
@@ -38,7 +39,6 @@ from .measures import (
     irreducibility_check,
     jump_sizes,
     map_characteristics,
-    theta_lower,
     validate_spec,
 )
 from .paintbox import sample_paintbox, size_biased_tag
@@ -61,7 +61,7 @@ from .simulate import (
     PartitionPath,
     Snapshot,
     TaggedPath,
-    apply_erosion,
+    eroded_snapshot,
     mass_ensemble,
     simulate_mass_fragmentation,
     simulate_partition_fragmentation,
@@ -71,7 +71,6 @@ from .simulate import (
 from .spectral import (
     SpectralData,
     perron_eigen,
-    phi_derivatives,
     theta_bar,
 )
 from .streams import replica_stream

@@ -24,7 +24,7 @@ from .errors import (
     ThetaAboveCritical,
 )
 from .measures import FragmentationSpec, irreducibility_check, jump_sizes
-from .simulate import FragmentationPath, Snapshot
+from .simulate import Snapshot
 from .spectral import SpectralData
 
 
@@ -103,18 +103,18 @@ class LargestFragmentRates:
     per_type: tuple[float | None, ...]
 
 
-def largest_fragment_rates(path: FragmentationPath, t: float,
+def largest_fragment_rates(snapshot: Snapshot,
                            k: int | None = None) -> LargestFragmentRates:
-    """Observed decay rates of the largest fragment at time t."""
+    """Observed decay rates of the largest fragment at time snapshot.t."""
+    t, masses, types = snapshot.t, snapshot.masses, snapshot.types
     if t <= 0:
         raise InvalidArgument("need t > 0")
-    snap = path.snapshot(t) if isinstance(path, FragmentationPath) else path
     if k is None:
-        k = snap.types.max() if snap.types.size else 1
-    overall = -math.log(snap.masses.max()) / t
+        k = types.max() if types.size else 1
+    overall = -math.log(masses.max()) / t
     per = []
     for j in range(1, k + 1):
-        sel = snap.masses[snap.types == j]
+        sel = masses[types == j]
         per.append(-math.log(sel.max()) / t if sel.size else None)
     return LargestFragmentRates(t=t, overall=overall, per_type=tuple(per))
 

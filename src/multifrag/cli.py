@@ -139,6 +139,8 @@ def _resolve_seed(args, spec, min_replicas=1) -> int:
         raise ParseError(f"--replicas must be at least {min_replicas}")
     if not 0 < getattr(args, "t", 1.0) < math.inf:
         raise ParseError("--t must be positive and finite")
+    if getattr(args, "max_fragments", 1) < 1:
+        raise ParseError("--max-fragments must be at least 1")
     if not 1 <= args.initial_type <= spec.k:
         raise ParseError(
             f"--initial-type {args.initial_type} outside 1..{spec.k}")
@@ -230,8 +232,8 @@ def _float_list(text, option):
 
 def _parse_times(args):
     """The sorted snapshot times: the --times list, or --t alone."""
-    return sorted(_float_list(args.times, "--times") if args.times
-                  else [args.t])
+    return sorted(_float_list(args.times, "--times")
+                  if args.times is not None else [args.t])
 
 
 def _snapshots(args, spec, seed):
@@ -380,28 +382,28 @@ def cmd_limits(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec, min_replicas=2)
     u = asymptotics.stationary_distribution(measures.intensity_matrix(spec))
-    d1, d2 = spectral.phi_derivatives(spec, 0.0)
+    sd0 = spectral.perron_eigen(spec, 0.0, with_derivatives=True)
     f = asymptotics.make_test_function(args.f, args.f_center, args.f_width)
     j_arr, s_arr = simulate.tagged_ensemble(
         spec, [args.t], args.replicas, seed, initial_type=args.initial_type)
     j_t, s_t = j_arr[0], s_arr[0]
     # size-biased identity: population mass-averages equal tagged expectations
-    y = (-s_t + d1 * args.t) / math.sqrt(args.t)
+    y = (-s_t + sd0.phi_d1 * args.t) / math.sqrt(args.t)
     clt_vals = f(y, j_t)
     marg = np.array([(j_t == j).mean() for j in range(1, spec.k + 1)])
     marg_se = np.sqrt(marg * (1 - marg) / args.replicas)
     doc = {
         "t": args.t,
         "replicas": args.replicas,
-        "phi_d1_at_0": d1,
-        "phi_d2_at_0": d2,
+        "phi_d1_at_0": sd0.phi_d1,
+        "phi_d2_at_0": sd0.phi_d2,
         "stationary": [float(x) for x in u],
         "type_marginal": [float(x) for x in marg],
         "type_marginal_se": [float(x) for x in marg_se],
         "lln_location": float((s_t / args.t).mean()),
         "clt_mean": float(clt_vals.mean()),
         "clt_se": float(clt_vals.std(ddof=1) / math.sqrt(args.replicas)),
-        "clt_oracle": asymptotics.gaussian_limit(f, u, -d2),
+        "clt_oracle": asymptotics.gaussian_limit(f, u, -sd0.phi_d2),
     }
     _write_json(args, doc)
 
@@ -481,10 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate and analyze multitype fragmentation models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p, seeded=True, table=True):
+        """Shared options; a command that always writes JSON has no --format."""
         p.add_argument("--spec", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seeded:
             p.add_argument("--seed", type=int, default=None,
                            help="64-bit seed (or MULTIFRAG_SEED)")
@@ -509,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "points")
 
     p = sub.add_parser("validate", help="check a model file")
-    common(p, seeded=False)
-    p.set_defaults(func=cmd_validate, format="json")
+    common(p, seeded=False, table=False)
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
         "simulate", help="mass-fragmentation snapshots",
@@ -546,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_martingale)
 
     p = sub.add_parser("limits", help="LLN/CLT functionals vs. their limits")
-    common(p)
+    common(p, table=False)
     p.add_argument("--t", type=float, default=50.0)
     p.add_argument("--f", choices=("bump", "sigmoid", "coswin"),
                    default="bump")
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite (exit 2 otherwise)")
     p.add_argument("--f-width", dest="f_width", type=float, default=1.0,
                    help="0 < width < inf (exit 2 otherwise)")
-    p.set_defaults(func=cmd_limits, format="json")
+    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("ldcount", help="windowed fragment counts vs. "
                                        "predicted growth")
@@ -575,9 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ldcount)
 
     p = sub.add_parser("report", help="aggregate model summary")
-    common(p)
+    common(p, table=False)
     p.add_argument("--t", type=float, default=5.0)
-    p.set_defaults(func=cmd_report, format="json")
+    p.set_defaults(func=cmd_report)
 
     return parser
 

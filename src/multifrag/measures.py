@@ -26,6 +26,10 @@ from .errors import (
 )
 from .partitions import MASS_TOL, TypedMassPartition, build_typed_mass_partition
 
+# infimum of the domain where the matrix exponent is finite: finite atom
+# lists with finitely many parts keep every entry finite for all theta > -1,
+# where the child masses x^(1+theta) stay integrable
+THETA_LOWER = -1.0
 THETA_GUARD = 1e-9
 
 _compiled = partial(field, init=False, repr=False, compare=False)
@@ -229,15 +233,6 @@ def _require_conservative(spec: FragmentationSpec) -> None:
         raise NotConservative("operation requires a conservative spec")
 
 
-def theta_lower(spec: FragmentationSpec) -> float:
-    """Infimum of the domain where the matrix exponent is finite.
-
-    Finite atom lists with finitely many parts keep every entry finite for
-    all theta > -1, where the child masses x^(1+theta) stay integrable.
-    """
-    return -1.0
-
-
 def _cell_sums(spec: FragmentationSpec, atom_terms, row_terms) -> np.ndarray:
     """k x k sums of a term per atom, on its type's diagonal cell, and a term
     per child row, on its (parent type, child type) cell.
@@ -279,8 +274,8 @@ def bernstein_matrices(spec: FragmentationSpec, theta: float
     nu_i on the diagonal when m = 0.
     """
     _require_conservative(spec)
-    if not theta > theta_lower(spec) + THETA_GUARD:
-        raise ThetaOutOfDomain(f"theta = {theta} not above {theta_lower(spec)}")
+    if not theta > THETA_LOWER + THETA_GUARD:
+        raise ThetaOutOfDomain(f"theta = {theta} not above {THETA_LOWER}")
     term = spec.row_weight * spec.row_mass ** (1.0 + theta)
     d1 = term * spec.row_log_mass
     zero = np.zeros_like(spec.atom_weight)

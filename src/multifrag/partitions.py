@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import (
     EmptyGroundSet,
     GroundSizeMismatch,
+    InvalidArgument,
     MassSumExceedsOne,
     NegativeMass,
     TypeOutOfRange,
@@ -41,12 +42,6 @@ class TypedMassPartition:
 
     def total_mass(self) -> float:
         return sum(m for m, _ in self.parts)
-
-    def scaled(self, r: float) -> "TypedMassPartition":
-        """The partition r*x (each mass multiplied by r in [0, 1])."""
-        if not 0.0 <= r <= 1.0 + MASS_TOL:
-            raise NegativeMass(f"scale factor {r} outside [0, 1]")
-        return build_typed_mass_partition([(r * m, i) for m, i in self.parts])
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -93,7 +88,8 @@ def dislocate_term(x: TypedMassPartition, index: int,
     of the result.
     """
     if not 0 <= index < len(x.parts):
-        raise IndexError(f"no term {index} in a {len(x.parts)}-part partition")
+        raise InvalidArgument(
+            f"no term {index} in a {len(x.parts)}-part partition")
     y, _ = x.parts[index]
     pairs = [p for n, p in enumerate(x.parts) if n != index]
     pairs.extend((y * m, i) for m, i in outcome.parts)
@@ -115,7 +111,7 @@ class TypedBlockPartition:
         for elems, typ in self.blocks:
             if element in elems:
                 return elems, typ
-        raise KeyError(f"element {element} not covered")
+        raise InvalidArgument(f"element {element} not covered")
 
     def __len__(self) -> int:
         return len(self.blocks)

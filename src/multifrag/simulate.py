@@ -292,34 +292,24 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     return path
 
 
-class ErodedPath:
-    """Exponential-discount view of a zero-erosion path.
+def eroded_snapshot(path: FragmentationPath, t: float) -> Snapshot:
+    """Snapshot of ``path`` at time t, discounted by e^(-ct) for the
+    model's common erosion coefficient c.
 
     Valid only when every erosion coefficient of the model equals the same
     c: the discounted process e^(-ct) Y(t) then has erosion c for every
     type.  With distinct coefficients the correction would depend on each
     fragment's ancestral types, which mass-level paths do not retain.
     """
-
-    def __init__(self, path: FragmentationPath, c: float):
-        self.path = path
-        self.c = c
-
-    def snapshot(self, t: float) -> Snapshot:
-        base = self.path.snapshot(t)
-        masses = base.masses * math.exp(-self.c * t)
-        return Snapshot(t=t, masses=masses, types=base.types,
-                        frozen=base.frozen, dust=1.0 - float(masses.sum()))
-
-
-def apply_erosion(path: FragmentationPath) -> ErodedPath:
-    """Discounted view of ``path`` at the model's common erosion rate."""
     coeffs = set(path.spec.erosion)
     if len(coeffs) > 1:
         raise DistinctErosionCoefficients(
             f"erosion coefficients {sorted(coeffs)} differ; the discount "
             f"trick needs a common value")
-    return ErodedPath(path, coeffs.pop())
+    base = path.snapshot(t)
+    masses = base.masses * math.exp(-coeffs.pop() * t)
+    return Snapshot(t=t, masses=masses, types=base.types, frozen=base.frozen,
+                    dust=1.0 - float(masses.sum()))
 
 
 class PartitionPath:

@@ -101,17 +101,13 @@ def perron_eigen(spec: FragmentationSpec, theta: float, *,
         group = np.linalg.inv(m - phi * np.eye(k) + gap * vu) - vu / gap
     except np.linalg.LinAlgError as exc:  # the gap at its rounding floor
         raise NoConvergence(f"group inverse at theta = {theta}: {exc}") from exc
-    d1 = float(u @ m1 @ v)
-    d2 = float(u @ m2 @ v - 2.0 * (u @ m1) @ group @ (m1 @ v))
+    with np.errstate(all="ignore"):  # a non-finite value is raised below
+        d1 = float(u @ m1 @ v)
+        d2 = float(u @ m2 @ v - 2.0 * (u @ m1) @ group @ (m1 @ v))
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise NoConvergence(f"phi' = {d1}, phi'' = {d2} at theta = {theta}")
     return SpectralData(theta=theta, phi=phi, u=u, v=v,
                         phi_d1=d1, phi_d2=d2)
-
-
-def phi_derivatives(spec: FragmentationSpec,
-                    theta: float) -> tuple[float, float]:
-    """phi'(theta) and phi''(theta) in closed form from the Perron data."""
-    sd = perron_eigen(spec, theta, with_derivatives=True)
-    return sd.phi_d1, sd.phi_d2
 
 
 def theta_bar(spec: FragmentationSpec, bracket: tuple[float, float] = (0.0, 50.0)

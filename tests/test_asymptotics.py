@@ -11,6 +11,7 @@ from multifrag import (
     bump,
     clt_statistic,
     coswin,
+    dislocate_term,
     empirical_measure,
     fragmentation_spec,
     gaussian_limit,
@@ -29,6 +30,7 @@ from multifrag import (
     stationary_distribution,
     tagged_ensemble,
     make_test_function,
+    one_block_partition,
     theta_bar,
 )
 from multifrag.errors import (
@@ -182,14 +184,14 @@ def test_stationary_requires_irreducible():
 def test_largest_fragment_before_first_event(spec_a):
     path = simulate_mass_fragmentation(spec_a, 5.0, replica_stream(48, 0))
     t0 = 0.5 * path.events[0].time
-    rates = largest_fragment_rates(path, t0)
+    rates = largest_fragment_rates(path.snapshot(t0))
     assert rates.overall == 0.0
     assert rates.per_type == (0.0,)
 
 
 def test_largest_fragment_missing_type(spec_c):
     snap = _snap(2.0, [0.5, 0.5], [1, 1])
-    out = largest_fragment_rates(snap, 2.0, k=2)
+    out = largest_fragment_rates(snap, k=2)
     assert out.per_type[0] == pytest.approx(LN2 / 2.0)
     assert out.per_type[1] is None
     assert out.overall == pytest.approx(LN2 / 2.0)
@@ -372,7 +374,7 @@ BAD_ARGUMENTS = {
         build_typed_mass_partition([(1.0, 1)]), 0, replica_stream(60, 0)),
     "lln-at-zero": lambda spec: lln_statistic(AT_ZERO, bump(0.0, 1.0)),
     "clt-at-zero": lambda spec: clt_statistic(AT_ZERO, bump(0.0, 1.0), 0.0),
-    "largest-at-zero": lambda spec: largest_fragment_rates(AT_ZERO, 0.0),
+    "largest-at-zero": lambda spec: largest_fragment_rates(AT_ZERO),
     "shape-without-phi-d1": lambda spec: ld_predicted_shape(
         1.0, 0.5, 2.0, None, perron_eigen(spec, 0.5)),
     "shape-at-zero": lambda spec: ld_predicted_shape(
@@ -388,6 +390,11 @@ BAD_ARGUMENTS = {
         bump(0.0, 1.0), np.array([1.0]), -1.0),
     "negative-seed": lambda spec: replica_stream(-1, 0),
     "negative-replica": lambda spec: replica_stream(0, -1),
+    "dislocate-missing-term": lambda spec: dislocate_term(
+        build_typed_mass_partition([(1.0, 1)]), 1,
+        build_typed_mass_partition([(0.5, 1)])),
+    "block-of-uncovered-element": lambda spec: one_block_partition(
+        3, 1).block_of(4),
 }
 
 

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,10 @@ SPEC_C_DOC = {
         "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.3, 1], [0.2, 1]]}],
     },
 }
+
+
+DEMO_MODEL = str(Path(__file__).resolve().parents[1] / "demos"
+                 / "two_type_model.json")
 
 
 def _one_type_doc(rate=1.0, child_type=1):
@@ -263,10 +269,18 @@ def test_mass_floor_must_be_finite_and_nonnegative(spec_b_file, command,
     ["simulate", "--seed", "1", "--t", "nan"],
     ["martingale", "--seed", "1", "--t", "inf"],
     ["partition", "--seed", "1", "--t", "nan"],
+    ["simulate", "--seed", "1", "--times", ""],
+    ["martingale", "--seed", "1", "--times", ""],
+    ["partition", "--seed", "1", "--times", ""],
+    ["simulate", "--seed", "1", "--max-fragments", "-3"],
+    ["martingale", "--seed", "1", "--max-fragments", "0"],
+    ["ldcount", "--seed", "1", "--max-fragments", "0"],
 ], ids=["theta-list", "times-list", "t-grid-list", "negative-seed",
         "wide-seed", "initial-type-above-k", "initial-type-zero",
         "tagged-nan-t", "tagged-inf-t", "simulate-nan-t", "martingale-inf-t",
-        "partition-nan-t"])
+        "partition-nan-t", "simulate-empty-times", "martingale-empty-times",
+        "partition-empty-times", "simulate-negative-cap",
+        "martingale-zero-cap", "ldcount-zero-cap"])
 def test_bad_arguments_are_parse_errors(spec_b_file, argv, capsys):
     assert main(argv[:1] + ["--spec", spec_b_file] + argv[1:]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
@@ -435,6 +449,19 @@ def test_singular_group_inverse_is_a_numeric_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
     assert "Singular matrix" in err["message"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_derivatives_are_a_numeric_error(tmp_path, fmt, capsys):
+    # phi'' is nan at theta = 350.75 on the demo model; no warning is printed
+    out = tmp_path / f"s.{fmt}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectral", "--spec", DEMO_MODEL, "--theta", "350.75",
+                     "--format", fmt, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NoConvergence"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["limits", "report"])
@@ -617,6 +644,42 @@ def test_shared_options_are_declared_alike(first, second, options):
 
     assert set(declared(first)) == options
     assert declared(first) == declared(second)
+
+
+# a small run of each command that takes --format
+FORMAT_RUNS = {
+    "simulate": ["--seed", "1", "--replicas", "1", "--t", "1"],
+    "partition": ["--seed", "1", "--replicas", "1", "--n", "5"],
+    "tagged": ["--seed", "1", "--replicas", "2"],
+    "spectral": ["--theta", "0.5"],
+    "martingale": ["--seed", "1", "--replicas", "1", "--theta", "0.5"],
+    "ldcount": ["--seed", "1", "--replicas", "2", "--t-grid", "2"],
+}
+
+
+def test_format_is_declared_only_where_it_is_used():
+    assert {command for command, p in _subparsers().items()
+            if any("--format" in a.option_strings for a in p._actions)
+            } == set(FORMAT_RUNS)
+
+
+@pytest.mark.parametrize("command", list(FORMAT_RUNS))
+def test_each_format_writes_its_own_bytes(command, tmp_path):
+    written = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert main([command, "--spec", DEMO_MODEL, "--format", fmt,
+                     "--out", str(out)] + FORMAT_RUNS[command]) == 0
+        written.append(out.read_bytes())
+    assert written[0] != written[1]
+
+
+@pytest.mark.parametrize("command", ["validate", "limits", "report"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_json_only_commands_refuse_format(command, fmt):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--spec", DEMO_MODEL, "--seed", "1", "--format", fmt])
+    assert exit_.value.code == 2
 
 
 def test_spectral_rate_scaling(tmp_path):

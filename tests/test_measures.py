@@ -14,11 +14,10 @@ from multifrag import (
     intensity_matrix,
     jump_sizes,
     map_characteristics,
-    theta_lower,
     validate_spec,
 )
 from multifrag.errors import NotConservative, SpecValidationError, ThetaOutOfDomain
-from multifrag.measures import bernstein_matrices
+from multifrag.measures import THETA_LOWER, bernstein_matrices
 from conftest import random_conservative_spec
 
 LN2 = math.log(2.0)
@@ -156,7 +155,7 @@ def test_bernstein_entries_monotone_in_theta():
 
 
 def test_theta_domain_guard(spec_a):
-    assert theta_lower(spec_a) == -1.0
+    assert THETA_LOWER == -1.0
     with pytest.raises(ThetaOutOfDomain):
         bernstein_matrix(spec_a, -1.0)
     with pytest.raises(ThetaOutOfDomain):

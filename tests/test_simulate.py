@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from multifrag import (
-    apply_erosion,
     asymptotic_frequencies,
     build_typed_mass_partition,
+    eroded_snapshot,
     frag,
     fragmentation_spec,
     mass_ensemble,
@@ -122,8 +123,7 @@ def test_fragment_ids_outside_the_run_rejected(spec_c):
 
 def test_erosion_identity_at_zero(spec_b):
     path = simulate_mass_fragmentation(spec_b, 2.0, replica_stream(6, 0))
-    eroded = apply_erosion(path)
-    snap = eroded.snapshot(1.5)
+    snap = eroded_snapshot(path, 1.5)
     base = path.snapshot(1.5)
     assert np.allclose(snap.masses, base.masses)
 
@@ -132,7 +132,7 @@ def test_erosion_discounts_single_fragment():
     # no dislocations: the unit fragment just melts at rate 1
     melt = fragmentation_spec(1, {1: []}, erosion=[1.0])
     path = simulate_mass_fragmentation(melt, 2.0, replica_stream(7, 0))
-    snap = apply_erosion(path).snapshot(LN2)
+    snap = eroded_snapshot(path, LN2)
     assert snap.masses == pytest.approx([0.5])
     assert snap.dust == pytest.approx(0.5)
 
@@ -143,9 +143,8 @@ def test_erosion_total_mass_closes(spec_b):
         2: [(1.0, [(0.5, 1), (0.5, 1)])],
     }, erosion=[0.7, 0.7])
     path = simulate_mass_fragmentation(spec, 3.0, replica_stream(8, 0))
-    view = apply_erosion(path)
     for t in (0.0, 1.0, 2.5):
-        snap = view.snapshot(t)
+        snap = eroded_snapshot(path, t)
         assert snap.total_mass() + snap.dust == pytest.approx(1.0, abs=1e-12)
         assert snap.total_mass() == pytest.approx(math.exp(-0.7 * t), abs=1e-9)
 
@@ -157,7 +156,7 @@ def test_erosion_rejects_distinct_coefficients():
     }, erosion=[0.5, 1.0])
     path = simulate_mass_fragmentation(spec, 1.0, replica_stream(9, 0))
     with pytest.raises(DistinctErosionCoefficients):
-        apply_erosion(path)
+        eroded_snapshot(path, 0.5)
 
 
 # --- partition-valued paths ---------------------------------------------------------
@@ -330,8 +329,9 @@ RECORDS = {
         spec, 2.0, replica_stream(33, 0)).snapshot,
     "dust": lambda spec: simulate_mass_fragmentation(
         spec, 2.0, replica_stream(33, 0)).dust_at,
-    "eroded": lambda spec: apply_erosion(simulate_mass_fragmentation(
-        spec, 2.0, replica_stream(33, 0))).snapshot,
+    "eroded": lambda spec: partial(eroded_snapshot,
+                                   simulate_mass_fragmentation(
+                                       spec, 2.0, replica_stream(33, 0))),
     "partition": lambda spec: simulate_partition_fragmentation(
         spec, 8, 2.0, replica_stream(33, 1)).at,
     "tagged": lambda spec: simulate_tagged(

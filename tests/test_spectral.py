@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from multifrag import (
     intensity_matrix,
     irreducibility_check,
     perron_eigen,
-    phi_derivatives,
     theta_bar,
 )
 from multifrag import spectral
@@ -272,12 +272,12 @@ def test_random_specs_match_dense_eigensolver():
 
 def test_derivatives_scalar_closed_form(spec_a, spec_b):
     for spec in (spec_a, spec_b):
-        d1, d2 = phi_derivatives(spec, 0.0)
-        assert d1 == pytest.approx(LN2, abs=1e-10)
-        assert d2 == pytest.approx(-(LN2 ** 2), abs=1e-10)
-        d1, d2 = phi_derivatives(spec, 1.0)
-        assert d1 == pytest.approx(0.5 * LN2, abs=1e-10)
-        assert d2 == pytest.approx(-0.5 * LN2 ** 2, abs=1e-10)
+        sd = perron_eigen(spec, 0.0, with_derivatives=True)
+        assert sd.phi_d1 == pytest.approx(LN2, abs=1e-10)
+        assert sd.phi_d2 == pytest.approx(-(LN2 ** 2), abs=1e-10)
+        sd = perron_eigen(spec, 1.0, with_derivatives=True)
+        assert sd.phi_d1 == pytest.approx(0.5 * LN2, abs=1e-10)
+        assert sd.phi_d2 == pytest.approx(-0.5 * LN2 ** 2, abs=1e-10)
 
 
 @property_settings
@@ -285,7 +285,10 @@ def test_derivatives_scalar_closed_form(spec_a, spec_b):
 def test_derivatives_match_differences(spec, th):
     sd = perron_eigen(spec, th, with_derivatives=True)
     d1 = _five_point(lambda t: perron_eigen(spec, t).phi, th, 1e-3)
-    d2 = _five_point(lambda t: phi_derivatives(spec, t)[0], th, 1e-3)
+    # at step 1e-3 the stencil's truncation error on phi'' reaches 6e-9 on
+    # some random models; at 1e-4 it stays below 2e-11
+    d2 = _five_point(lambda t: perron_eigen(
+        spec, t, with_derivatives=True).phi_d1, th, 1e-4)
     assert sd.phi_d1 == pytest.approx(d1, abs=1e-9)
     assert sd.phi_d2 == pytest.approx(d2, abs=1e-9)
 
@@ -298,8 +301,18 @@ def test_derivative_agrees_with_stationary_drift(spec_c):
         for atom in spec_c.atoms(i):
             drift += u[i - 1] * atom.weight * sum(
                 -m * math.log(m) for m, _ in atom.outcome.parts)
-    d1, _ = phi_derivatives(spec_c, 0.0)
-    assert d1 == pytest.approx(drift, abs=1e-10)
+    sd = perron_eigen(spec_c, 0.0, with_derivatives=True)
+    assert sd.phi_d1 == pytest.approx(drift, abs=1e-10)
+
+
+def test_non_finite_derivatives_raise_no_convergence(spec_c):
+    # at theta = 350.75 u and v underflow and phi'' comes out as nan, while
+    # the plain solve still succeeds; numpy's warning is kept quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(perron_eigen(spec_c, 350.75).phi)
+        with pytest.raises(NoConvergence, match="phi''"):
+            perron_eigen(spec_c, 350.75, with_derivatives=True)
 
 
 # --- shape of phi ---------------------------------------------------------------------
