@@ -477,8 +477,15 @@ def cmd_report(args):
 
 # --- parser ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the JSON error line of every failure."""
+
+    def error(self, message):
+        sys.exit(_report(ParseError(message)))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multifrag",
         description="simulate and analyze multitype fragmentation models")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -586,18 +593,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: MultifragError) -> int:
+    """Write the JSON error line for exc on stderr; return its exit code."""
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, SpecValidationError):
+        doc["violations"] = [{"code": c, "message": m}
+                             for c, m in exc.violations]
+    json.dump(doc, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
+    return exc.exit_code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except MultifragError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, SpecValidationError):
-            doc["violations"] = [{"code": c, "message": m}
-                                 for c, m in exc.violations]
-        json.dump(doc, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return exc.exit_code
+        return _report(exc)
     return 0
 
 

@@ -166,13 +166,18 @@ def fragmentation_spec(k: int, dislocation, erosion=None,
                     continue
             atoms.append(atom)
         table.append(tuple(atoms))
-    if bad:
-        raise SpecValidationError(bad)
     if conservative is None:
         conservative = all(c == 0.0 for c in erosion) and all(
             a.outcome.dust <= MASS_TOL for row in table for a in row)
-    return FragmentationSpec(k=k, erosion=erosion, dislocation=tuple(table),
-                             conservative=bool(conservative))
+    try:
+        spec = FragmentationSpec(k=k, erosion=erosion, dislocation=tuple(table),
+                                 conservative=bool(conservative))
+    except SpecValidationError as exc:
+        # after the atoms that failed, validate_spec's findings on the rest
+        bad += exc.violations
+    if bad:
+        raise SpecValidationError(bad)
+    return spec
 
 
 def validate_spec(spec: FragmentationSpec) -> FragmentationSpec:
@@ -220,12 +225,17 @@ def validate_spec(spec: FragmentationSpec) -> FragmentationSpec:
 
 def irreducibility_check(intensity: np.ndarray) -> bool:
     """True iff the graph of positive off-diagonal rates is strongly
-    connected: its reachability closure, by repeated squaring, is full."""
-    lam = np.asarray(intensity, dtype=float)
-    reach = ((lam > 0.0) | np.eye(len(lam), dtype=bool)).astype(np.int64)
-    for _ in range(len(lam).bit_length()):
-        reach = np.minimum(reach @ reach, 1)
-    return bool(reach.all())
+    connected: a frontier search from type 1 reaches every type along the
+    edges and against them, in O(k^2) for k types."""
+    edges = np.asarray(intensity, dtype=float) > 0.0
+    for graph in (edges, edges.T):
+        seen = frontier = np.arange(len(graph)) == 0
+        while not seen.all():
+            frontier = graph[frontier].any(axis=0) & ~seen
+            if not frontier.any():
+                return False
+            seen |= frontier
+    return True
 
 
 def _require_conservative(spec: FragmentationSpec) -> None:

@@ -23,9 +23,10 @@ The single-path engines draw atoms and children with ``bisect_right`` on
 Python lists of the compiled selection tables.
 
 ``mass_ensemble`` and ``tagged_ensemble`` are vectorized replica drivers
-for statistics that need large populations or many replicas.  Every engine
-draws from the rates and selection tables compiled into the spec (see
-FragmentationSpec).
+for statistics that need large populations or many replicas.  One wave
+generator, ``_waves``, advances the lanes of both a generation at a time
+and takes all their draws, in one order.  Every engine draws from the rates
+and selection tables compiled into the spec (see FragmentationSpec).
 """
 
 import heapq
@@ -455,6 +456,32 @@ def _draw(keys, types, u) -> np.ndarray:
     return np.searchsorted(keys, types + 1j * u, side="right")
 
 
+def _waves(rng, cums, times, initial_type, columns, clock_rate, branch):
+    """Grow lanes born at time 0 in ``initial_type`` with the caller's
+    ``columns`` a wave (generation) at a time, yielding (time_index, type,
+    ...) for those alive at each time.  Each wave draws, in lane order, an
+    exponential clock per lane of positive ``clock_rate(type, ...)``, then a
+    uniform per lane that splits by the last time; ``branch(split_time,
+    entry of cums, type, ...)`` returns the next wave's (birth, type, ...)."""
+    keys, horizon = _search_keys(cums), times[-1]
+    birth = np.zeros(columns[0].size)
+    lanes = (np.full(birth.size, initial_type, dtype=np.int64), *columns)
+    while birth.size:
+        rate = clock_rate(*lanes)
+        can = rate > 0
+        split = np.full(birth.size, np.inf)
+        split[can] = birth[can] + rng.exponential(1.0, can.sum()) / rate[can]
+        for ti, tau in enumerate(times):
+            alive = np.flatnonzero((birth <= tau) & (split > tau))
+            if alive.size:
+                yield ti, *(col[alive] for col in lanes)
+        go = np.flatnonzero(split <= horizon)
+        if go.size < split.size:
+            lanes, split = tuple(col[go] for col in lanes), split[go]
+        entry = _draw(keys, lanes[0], rng.random(go.size))
+        birth, *lanes = branch(split, entry, *lanes)
+
+
 def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
                     seed: int, *, initial_type: int = 1):
     """(J, S) of every replica at each observation time, vectorized.
@@ -468,33 +495,18 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
         raise NotConservative("tagged dynamics need a conservative spec")
     times = _observation_times(times, n_replicas)
     _check_tagged_jumps(spec, times[-1], n_replicas)
-    rng = replica_stream(seed, 0)
-    keys = _search_keys(spec.row_cum)
-    r = n_replicas
-    out_j = np.zeros((len(times), r), dtype=np.int64)
-    out_s = np.zeros((len(times), r))
-    # replica id, time, J and S of each running lane, in replica order
-    lane, t_cur = np.arange(r), np.zeros(r)
-    j, s = np.full(r, initial_type, dtype=np.int64), np.zeros(r)
-    horizon = times[-1]
-    while lane.size:
-        lane_rates = spec.type_rate[j]
-        stuck = lane_rates <= 0
-        dt = np.full(lane.size, np.inf)
-        dt[~stuck] = rng.exponential(1.0, int((~stuck).sum())) / lane_rates[~stuck]
-        t_new = t_cur + dt
-        for ti, tau in enumerate(times):
-            hit = (t_cur <= tau) & (t_new > tau)
-            out_j[ti, lane[hit]] = j[hit]
-            out_s[ti, lane[hit]] = s[hit]
-        cont = t_new <= horizon
-        if not cont.all():
-            lane, j, s, t_new = lane[cont], j[cont], s[cont], t_new[cont]
-        if lane.size:
-            row = _draw(keys, j, rng.random(lane.size))
-            s -= spec.row_log_mass[row]
-            j = spec.row_child[row]
-        t_cur = t_new
+    out_j = np.zeros((len(times), n_replicas), dtype=np.int64)
+    out_s = np.zeros((len(times), n_replicas))
+
+    def branch(split, row, j, replica, s):
+        return split, spec.row_child[row], replica, s - spec.row_log_mass[row]
+
+    for ti, j, replica, s in _waves(
+            replica_stream(seed, 0), spec.row_cum, times, initial_type,
+            (np.arange(n_replicas), np.zeros(n_replicas)),
+            lambda j, *_: spec.type_rate[j], branch):
+        out_j[ti, replica] = j
+        out_s[ti, replica] = s
     return out_j, out_s
 
 
@@ -521,57 +533,42 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     _check_mass_floor(mass_floor)
     if replica_chunk is not None and replica_chunk < 1:
         raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
-    horizon = float(times[-1])
     dust_out = np.zeros(n_replicas)
     chunk = n_replicas if replica_chunk is None else int(replica_chunk)
-    keys = _search_keys(spec.atom_cum)
-    cap = math.inf if max_fragments is None else max_fragments
-    too_many = (f"more than {max_fragments} fragments grown; raise "
-                f"mass_floor or shorten the horizon")
     produced = 0
+
+    def grow(n):
+        """Count n more fragments against the cap, before their wave."""
+        nonlocal produced
+        produced += n
+        if max_fragments is not None and produced > max_fragments:
+            raise ResourceCapExceeded(
+                f"more than {max_fragments} fragments grown; raise "
+                f"mass_floor or shorten the horizon")
+
+    def rate(typ, rep, mass):
+        # a frozen fragment never splits
+        return np.where(mass < mass_floor, 0.0, spec.type_rate[typ])
+
+    def branch(split, atom, typ, rep, mass):
+        shed = mass * spec.atom_dust[atom]
+        if shed.any():
+            np.add.at(dust_out, rep, shed)
+        lens = spec.atom_rows[atom]
+        total = int(lens.sum())
+        grow(total)
+        gather = np.arange(total) + np.repeat(
+            spec.atom_first_row[atom] - np.cumsum(lens) + lens, lens)
+        return (np.repeat(split, lens), spec.row_child[gather],
+                np.repeat(rep, lens),
+                np.repeat(mass, lens) * spec.row_mass[gather])
+
     for start in range(0, n_replicas, chunk):
         stop = min(start + chunk, n_replicas)
-        produced += stop - start
-        if produced > cap:
-            raise ResourceCapExceeded(too_many)
-        rng = replica_stream(seed, start)
-        rep = np.arange(start, stop, dtype=np.int64)
-        mass = np.ones(stop - start)
-        typ = np.full(stop - start, initial_type, dtype=np.int64)
-        birth = np.zeros(stop - start)
-        while rep.size:
-            lane_rates = spec.type_rate[typ]
-            frozen = mass < mass_floor
-            can_split = ~frozen & (lane_rates > 0)
-            split_t = np.full(rep.size, np.inf)
-            if can_split.any():
-                split_t[can_split] = birth[can_split] + rng.exponential(
-                    1.0, int(can_split.sum())) / lane_rates[can_split]
-            for ti, tau in enumerate(times):
-                alive = np.flatnonzero((birth <= tau) & (split_t > tau))
-                if alive.size:
-                    visit(ti, rep[alive], mass[alive], typ[alive],
-                          frozen[alive])
-            split = np.flatnonzero(can_split & (split_t <= horizon))
-            if not split.size:
-                break
-            s_rep, s_mass, s_typ, s_time = (
-                rep[split], mass[split], typ[split], split_t[split])
-            ta = _draw(keys, s_typ, rng.random(s_rep.size))
-            shed = s_mass * spec.atom_dust[ta]
-            if shed.any():
-                np.add.at(dust_out, s_rep, shed)
-            lens = spec.atom_rows[ta]
-            total = int(lens.sum())
-            # checked before the next wave is allocated
-            produced += total
-            if produced > cap:
-                raise ResourceCapExceeded(too_many)
-            ends = np.cumsum(lens)
-            gather = (np.arange(total) - np.repeat(ends - lens, lens)
-                      + np.repeat(spec.atom_first_row[ta], lens))
-            rep = np.repeat(s_rep, lens)
-            mass = np.repeat(s_mass, lens) * spec.row_mass[gather]
-            typ = spec.row_child[gather]
-            birth = np.repeat(s_time, lens)
+        grow(stop - start)
+        for ti, typ, rep, mass in _waves(
+                replica_stream(seed, start), spec.atom_cum, times,
+                initial_type, (np.arange(start, stop, dtype=np.int64),
+                               np.ones(stop - start)), rate, branch):
+            visit(ti, rep, mass, typ, mass < mass_floor)
     return dust_out

@@ -133,6 +133,43 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert any(v["code"] == "NonConservativeAtom" for v in err["violations"])
 
 
+def test_validate_lists_atom_errors_with_the_checks_after_them(tmp_path,
+                                                               capsys):
+    # the bad mass fails its atom; the erosion and the negative rate are
+    # found by validate_spec on the atoms that built
+    path, out = tmp_path / "bad.json", tmp_path / "v.json"
+    path.write_text(json.dumps({
+        "types": 2, "erosion": [-1, 0],
+        "dislocation": {
+            "1": [{"rate": 1.0, "fragments": [["-1/2", 1], ["1/2", 2]]}],
+            "2": [{"rate": -1.0, "fragments": [["1/2", 1]]}]}}))
+    assert main(["validate", "--spec", str(path), "--out", str(out)]) == 3
+    codes = ["NegativeMass", "NegativeErosion", "NonpositiveWeight"]
+    doc = json.loads(out.read_text())
+    assert not doc["valid"]
+    assert [v["code"] for v in doc["violations"]] == codes
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["violations"] == doc["violations"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--no-such-option"],
+     "unrecognized arguments: --no-such-option"),
+    (["simulate", "--replicas", "x"],
+     "argument --replicas: invalid int value: 'x'"),
+    (["limits", "--format", "csv"], "unrecognized arguments: --format csv"),
+], ids=["unknown-option", "bad-int", "limits-format"])
+def test_usage_errors_write_one_json_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv[:1] + ["--spec", DEMO_MODEL, "--seed", "1"] + argv[1:])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "ParseError",
+                                        "message": message}
+
+
 def test_exit_code_missing_seed(spec_b_file, capsys, monkeypatch):
     monkeypatch.delenv("MULTIFRAG_SEED", raising=False)
     assert main(["tagged", "--spec", spec_b_file, "--t", "1"]) == 2

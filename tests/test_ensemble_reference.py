@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from multifrag import fragmentation_spec, mass_ensemble, tagged_ensemble
 from multifrag import simulate as simulate_module
+from multifrag import streams
 from multifrag.errors import (
     InvalidArgument,
     NotConservative,
@@ -227,6 +228,52 @@ def test_tagged_ensemble_matches_its_reference_with_stuck_lanes():
                                                   initial_type=typ)
         assert j.tobytes() == ref_j.tobytes() and s.tobytes() == ref_s.tobytes()
         assert (j[-1] == 2).any()
+
+
+def _next_draws(driver, *args, **kwargs):
+    """Run driver with every stream that replica_stream hands out, to the
+    driver or to the references here, recorded; return the next random(4)
+    of each stream after the run.  A draw after a chunk's last visit
+    changes no output, so only the streams show it."""
+    handed = []
+
+    def recording(seed, replica):
+        handed.append(streams.replica_stream(seed, replica))
+        return handed[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate_module, "replica_stream", recording)
+        patch.setitem(globals(), "replica_stream", recording)
+        try:
+            driver(*args, **kwargs)
+        except ResourceCapExceeded:
+            pass
+    return [rng.random(4).tolist() for rng in handed]
+
+
+@reference_settings
+@given(spec=models(conservative=False), times=observation_times,
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 63),
+       chunk=st.sampled_from([None, 1, 3]),
+       cap=st.sampled_from([None, 5, 40]))
+def test_mass_ensemble_takes_the_draws_of_its_reference(spec, times, n, seed,
+                                                        chunk, cap):
+    draws = [_next_draws(driver, spec, times, n, seed, lambda *args: None,
+                         mass_floor=0.05, replica_chunk=chunk,
+                         max_fragments=cap)
+             for driver in (mass_ensemble, _reference_mass_ensemble)]
+    assert draws[0] == draws[1]
+
+
+@reference_settings
+@given(spec=models(conservative=True), times=observation_times,
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 63))
+def test_tagged_ensemble_takes_the_draws_of_its_reference(spec, times, n,
+                                                          seed):
+    draws = [_next_draws(driver, spec, times, n, seed,
+                         initial_type=1 + seed % spec.k)
+             for driver in (tagged_ensemble, _reference_tagged_ensemble)]
+    assert len(draws[0]) == 1 and draws[0] == draws[1]
 
 
 @reference_settings

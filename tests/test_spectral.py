@@ -169,13 +169,36 @@ def _reaches_all_both_ways(lam):
     return reaches_all(adj) and reaches_all(adj.T)
 
 
+def _closure_is_full(lam):
+    """Reference strong-connectivity test: the reachability closure, by
+    repeated squaring in int64, is full.  O(k^3 log k): keep k small."""
+    reach = ((lam > 0.0) | np.eye(len(lam), dtype=bool)).astype(np.int64)
+    for _ in range(len(lam).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return bool(reach.all())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 7).flatmap(lambda k: st.lists(
     st.sampled_from([0.0, 0.0, 1.5, -1.0, 1e-300]),
     min_size=k * k, max_size=k * k).map(
         lambda cells: np.array(cells).reshape(k, k))))
 def test_irreducibility_matches_a_graph_search(lam):
-    assert irreducibility_check(lam) == _reaches_all_both_ways(lam)
+    assert (irreducibility_check(lam) == _reaches_all_both_ways(lam)
+            == _closure_is_full(lam))
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 64, 100, 300, 600, 1000])
+def test_irreducibility_of_long_cycles(k):
+    # a cycle through all k types is strongly connected; cut at any edge it
+    # is a one-way path, which the forward or the backward search misses
+    cycle = np.roll(np.eye(k), 1, axis=1) - np.eye(k)
+    assert irreducibility_check(cycle) and _reaches_all_both_ways(cycle)
+    for cut in sorted({0, 1, k // 2, k - 2, k - 1}):
+        broken = cycle.copy()
+        broken[cut, (cut + 1) % k] = 0.0
+        assert not irreducibility_check(broken)
+        assert not _reaches_all_both_ways(broken)
 
 
 @property_settings
