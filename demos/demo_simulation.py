@@ -11,7 +11,6 @@ import math
 
 from multifrag import (
     asymptotic_frequencies,
-    eroded_snapshot,
     fragmentation_spec,
     replica_stream,
     simulate_mass_fragmentation,
@@ -42,8 +41,7 @@ melt = fragmentation_spec(2, {
     1: [(1.0, [(0.6, 1), (0.4, 2)])],
     2: [(1.0, [(0.5, 2), (0.3, 1), (0.2, 1)])],
 }, erosion=[0.3, 0.3])
-base = simulate_mass_fragmentation(melt, 2.0, replica_stream(7, 1))
-s = eroded_snapshot(base, 2.0)
+s = simulate_mass_fragmentation(melt, 2.0, replica_stream(7, 1)).snapshot(2.0)
 print(f"\nwith erosion 0.3: mass left = {s.total_mass():.4f} "
       f"(= e^-0.6 = {math.exp(-0.6):.4f}), dust = {s.dust:.4f}")
 

@@ -61,7 +61,6 @@ from .simulate import (
     PartitionPath,
     Snapshot,
     TaggedPath,
-    eroded_snapshot,
     mass_ensemble,
     simulate_mass_fragmentation,
     simulate_partition_fragmentation,

@@ -55,13 +55,19 @@ def biggins_martingale(snapshot: Snapshot, sd: SpectralData, *,
 
     Above the critical exponent the formula still evaluates, but the
     martingale no longer converges to a nondegenerate limit; passing
-    ``theta_bar`` turns that case into a warning.
+    ``theta_bar`` turns that case into a warning.  An e^(t phi) beyond the
+    float range raises NoConvergence.
     """
     if theta_bar is not None and sd.theta >= theta_bar:
         warnings.warn(f"theta = {sd.theta} at or above theta_bar = {theta_bar}",
                       ThetaAboveCritical, stacklevel=2)
+    try:
+        growth = math.exp(snapshot.t * sd.phi)
+    except OverflowError:
+        raise NoConvergence(f"e^(t phi) overflows at t = {snapshot.t}, "
+                            f"phi = {sd.phi}") from None
     weights = sd.v[snapshot.types - 1]
-    return float(math.exp(snapshot.t * sd.phi)
+    return float(growth
                  * np.sum(weights * snapshot.masses ** (sd.theta + 1.0)))
 
 
@@ -172,8 +178,13 @@ def ld_window_exponent(sd: SpectralData) -> float:
 # --- test-function family ----------------------------------------------------
 
 def bump(center: float = 0.0, width: float = 1.0):
+    try:
+        scale = 2.0 * width ** 2
+    except OverflowError:
+        raise InvalidArgument(f"width = {width}: width^2 overflows") from None
+
     def g(y):
-        return np.exp(-((y - center) ** 2) / (2.0 * width ** 2))
+        return np.exp(-((y - center) ** 2) / scale)
     return g
 
 

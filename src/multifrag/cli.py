@@ -27,6 +27,7 @@ from .errors import (
     MultifragError,
     NoConvergence,
     ParseError,
+    ResourceCapExceeded,
     SpecValidationError,
 )
 from .streams import replica_stream
@@ -418,6 +419,10 @@ def cmd_ldcount(args):
     # checked before theta_bar: the predicted shape carries t^(-1/2)
     if not all(0.0 < t < math.inf for t in times):
         raise InvalidArgument(f"--t-grid: need 0 < t < inf, got {times}")
+    # each replica's root counts against the cap, so the run cannot finish
+    if args.replicas > args.max_fragments:
+        raise ResourceCapExceeded(f"--replicas {args.replicas} is more than "
+                                  f"--max-fragments {args.max_fragments}")
     asymptotics.lattice_check(spec)
     tb, _ = spectral.theta_bar(spec)
     theta = args.theta_frac * tb

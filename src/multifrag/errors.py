@@ -70,6 +70,10 @@ class DistinctErosionCoefficients(MultifragError):
     exit_code = 3
 
 
+class PartitionWithErosion(MultifragError):
+    exit_code = 3
+
+
 # --- spectral computations ----------------------------------------------------
 
 class NotIrreducible(MultifragError):

@@ -13,9 +13,12 @@ Three simulators share this law:
   type of each fragment, and the time, parent, atom and first child of each
   event (children of one event take consecutive ids).  Lifetimes
   [birth, end) and the ``events`` list are read off these columns, and
-  snapshots are masks over numpy copies of them;
+  snapshots are masks over numpy copies of them, with each mass discounted
+  by e^(-ct) for the common erosion rate c, as in ``mass_ensemble`` (both
+  raise DistinctErosionCoefficients before any draw if the rates differ);
 * ``simulate_partition_fragmentation`` stores each block of {1..n} cut by a
-  paintbox sample once, with its lifetime, and builds states on demand;
+  paintbox sample once, with its lifetime, and builds states on demand; it
+  refuses a model with erosion (PartitionWithErosion);
 * ``simulate_tagged`` follows only the tagged fragment, whose (type,
   -log mass) pair is the Markov additive pair the analysis is built on.
 
@@ -42,6 +45,7 @@ from .errors import (
     GroundSizeTooSmall,
     InvalidArgument,
     NotConservative,
+    PartitionWithErosion,
     ResourceCapExceeded,
 )
 from .measures import FragmentationSpec
@@ -58,6 +62,8 @@ DEFAULT_MASS_FLOOR = 1e-9
 MAX_PARTITION_LABELS = 10 ** 7
 # the most jumps a tagged run may expect, summed over all its paths
 MAX_TAGGED_JUMPS = 10 ** 8
+# the same for a run that keeps every jump, at about 320 bytes each: 1 GB
+MAX_KEPT_JUMPS = 3 * 10 ** 6
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -74,28 +80,38 @@ def _check_horizon(t_max: float) -> None:
 
 def check_tagged_run(spec: FragmentationSpec, t_max: float, n_paths: int,
                      *, initial_type: int = 1) -> None:
-    """Refuse n_paths tagged paths to t_max before any work, with the errors
-    of simulate_tagged in its order: a bad initial type or horizon, a
-    non-conservative spec, then more expected jumps than MAX_TAGGED_JUMPS."""
+    """Refuse n_paths tagged paths to t_max, each keeping all its jumps,
+    before any work, with the errors of simulate_tagged in its order: a bad
+    initial type or horizon, a non-conservative spec, then more expected
+    jumps than MAX_KEPT_JUMPS."""
     spec.check_type(initial_type)
     _check_horizon(t_max)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
-    _check_tagged_jumps(spec, t_max, n_paths)
+    _check_tagged_jumps(spec, t_max, n_paths, MAX_KEPT_JUMPS)
 
 
 def _check_tagged_jumps(spec: FragmentationSpec, t_max: float,
-                        n_paths: int) -> None:
+                        n_paths: int, cap: int) -> None:
     """Raise ResourceCapExceeded when n_paths * t_max * max(type_rate)
-    exceeds MAX_TAGGED_JUMPS.  Each path's jump count is dominated by a
-    Poisson variable with mean t_max * max(type_rate), so this bounds the
-    expected work of the run."""
+    exceeds cap.  Each path's jump count is dominated by a Poisson variable
+    with mean t_max * max(type_rate), so this bounds the expected work of
+    the run."""
     expected = n_paths * t_max * float(spec.type_rate.max())
-    if expected > MAX_TAGGED_JUMPS:
+    if expected > cap:
         raise ResourceCapExceeded(
             f"{n_paths} tagged paths to t = {t_max} may take {expected:.3g} "
-            f"jumps, more than {MAX_TAGGED_JUMPS}; shorten the horizon or "
-            f"run fewer replicas")
+            f"jumps, more than {cap}; shorten the horizon or run fewer "
+            f"replicas")
+
+
+def _erosion(spec: FragmentationSpec) -> float:
+    """The erosion rate c common to every type.  Distinct rates are refused:
+    the discount would then depend on each fragment's ancestral types."""
+    if len(set(spec.erosion)) > 1:
+        raise DistinctErosionCoefficients(
+            f"erosion coefficients {list(spec.erosion)} differ")
+    return spec.erosion[0]
 
 
 def _check_mass_floor(mass_floor: float) -> None:
@@ -155,8 +171,8 @@ class FragmentationPath:
     the columns, made once per path.
     """
 
-    def __init__(self, spec, t_max, mass_floor):
-        self.spec = spec
+    def __init__(self, erosion, t_max, mass_floor):
+        self.erosion = erosion
         self.t_max = t_max
         self.mass_floor = mass_floor
         self._mass: list[float] = []
@@ -214,12 +230,17 @@ class FragmentationPath:
                 np.array(self._type, dtype=np.int64), birth, end)
 
     def snapshot(self, t: float) -> Snapshot:
+        """The fragments alive at t, with masses discounted by e^(-ct) and
+        the eroded mass in the dust; frozen flags use the masses before."""
         _check_time(t, self.t_max)
         mass, typ, birth, end = self._columns
         alive = (birth <= t) & (t < end)
         masses = mass[alive]
-        return Snapshot(t=t, masses=masses, types=typ[alive],
-                        frozen=masses < self.mass_floor, dust=self.dust_at(t))
+        frozen, dust = masses < self.mass_floor, self.dust_at(t)
+        if self.erosion:
+            masses = masses * math.exp(-self.erosion * t)
+            dust = 1.0 - float(masses.sum())
+        return Snapshot(t, masses, typ[alive], frozen, dust)
 
 
 def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
@@ -240,7 +261,7 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     spec.check_type(initial_type)
     _check_horizon(t_max)
     _check_mass_floor(mass_floor)
-    path = FragmentationPath(spec, t_max, mass_floor)
+    path = FragmentationPath(_erosion(spec), t_max, mass_floor)
     cums = [cum.tolist() for cum in spec.atom_cum]
     # the mean clock time of each type; 0.0 for a type that never splits
     scales = [1.0 / rate if rate > 0 else 0.0
@@ -293,26 +314,6 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     return path
 
 
-def eroded_snapshot(path: FragmentationPath, t: float) -> Snapshot:
-    """Snapshot of ``path`` at time t, discounted by e^(-ct) for the
-    model's common erosion coefficient c.
-
-    Valid only when every erosion coefficient of the model equals the same
-    c: the discounted process e^(-ct) Y(t) then has erosion c for every
-    type.  With distinct coefficients the correction would depend on each
-    fragment's ancestral types, which mass-level paths do not retain.
-    """
-    coeffs = set(path.spec.erosion)
-    if len(coeffs) > 1:
-        raise DistinctErosionCoefficients(
-            f"erosion coefficients {sorted(coeffs)} differ; the discount "
-            f"trick needs a common value")
-    base = path.snapshot(t)
-    masses = base.masses * math.exp(-coeffs.pop() * t)
-    return Snapshot(t=t, masses=masses, types=base.types, frozen=base.frozen,
-                    dust=1.0 - float(masses.sum()))
-
-
 class PartitionPath:
     """Record of a partition-valued run on {1..n}: each block (elements,
     type, birth) once, with its split time in ``_end`` (+inf if it never
@@ -344,12 +345,18 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     type are scheduled, which realizes the rule that atoms of mismatched
     type are non-events.  A path that would store more than
     MAX_PARTITION_LABELS labels, summed over its blocks, raises
-    ResourceCapExceeded.
+    ResourceCapExceeded.  Erosion would make single elements leave their
+    blocks as singletons of type 0, which this engine does not simulate, so
+    a model with any positive erosion rate raises PartitionWithErosion.
     """
     initial_type = int(spec.check_type(initial_type))
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
     _check_horizon(t_max)
+    if any(spec.erosion):
+        raise PartitionWithErosion(
+            f"erosion coefficients {list(spec.erosion)}: partition paths do "
+            f"not simulate erosion")
     too_many = (f"more than {MAX_PARTITION_LABELS} labels stored over the "
                 f"path; lower n or t_max")
     if n > MAX_PARTITION_LABELS:
@@ -494,7 +501,7 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
     times = _observation_times(times, n_replicas)
-    _check_tagged_jumps(spec, times[-1], n_replicas)
+    _check_tagged_jumps(spec, times[-1], n_replicas, MAX_TAGGED_JUMPS)
     out_j = np.zeros((len(times), n_replicas), dtype=np.int64)
     out_s = np.zeros((len(times), n_replicas))
 
@@ -521,18 +528,20 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     generation at once).  For every observation time and wave,
     ``visit(time_index, replica_ids, masses, types, frozen)`` receives the
     fragments of that wave alive at that time; accumulate across calls.
+    Masses and frozen flags are those of FragmentationPath.snapshot.
     Replicas are processed in chunks (all at once by default); replica r of
     chunk c draws from the stream keyed (seed, first replica of c), so
     results are reproducible for fixed seed and chunking.  Growing more than
     ``max_fragments`` fragments, counted over all replicas, raises
     ResourceCapExceeded before the wave that would pass it is allocated.
-    Returns the per-replica dust mass shed by non-conservative atoms.
+    Returns each replica's dust from non-conservative atoms, before erosion.
     """
     spec.check_type(initial_type)
     times = _observation_times(times, n_replicas)
     _check_mass_floor(mass_floor)
     if replica_chunk is not None and replica_chunk < 1:
         raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
+    erosion = _erosion(spec)
     dust_out = np.zeros(n_replicas)
     chunk = n_replicas if replica_chunk is None else int(replica_chunk)
     produced = 0
@@ -570,5 +579,8 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
                 replica_stream(seed, start), spec.atom_cum, times,
                 initial_type, (np.arange(start, stop, dtype=np.int64),
                                np.ones(stop - start)), rate, branch):
-            visit(ti, rep, mass, typ, mass < mass_floor)
+            frozen = mass < mass_floor
+            if erosion:
+                mass = mass * math.exp(-erosion * times[ti])
+            visit(ti, rep, mass, typ, frozen)
     return dust_out

@@ -205,6 +205,48 @@ def test_partition_above_the_label_cap_exits_at_once(spec_b_file, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+def _demo_with_erosion(tmp_path, erosion):
+    """The demo model with the given erosion rates, written to a file."""
+    doc = json.loads(Path(DEMO_MODEL).read_text())
+    doc.update(erosion=erosion, conservative=False)
+    path = tmp_path / "eroding.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_simulate_writes_eroded_masses(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--spec", _demo_with_erosion(tmp_path, [0.5, 0.5]),
+                 "--seed", "1", "--replicas", "4", "--times", "1,2",
+                 "--out", str(out)]) == 0
+    totals = {}
+    for line in out.read_text().splitlines()[1:]:
+        replica, t, _, mass = line.split(",")[:4]
+        key = replica, float(t)
+        totals[key] = totals.get(key, 0.0) + float(mass)
+    assert len(totals) == 8
+    for (_, t), total in totals.items():
+        assert abs(total - math.exp(-0.5 * t)) <= 1e-12
+
+
+@pytest.mark.parametrize("command, erosion, error", [
+    ("simulate", [0.5, 0.1], "DistinctErosionCoefficients"),
+    ("partition", [0.5, 0.5], "PartitionWithErosion"),
+    ("partition", [0.0, 0.1], "PartitionWithErosion")])
+def test_erosion_the_engines_cannot_simulate_exits_3(
+        tmp_path, command, erosion, error, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled a partition before the erosion check")
+
+    monkeypatch.setattr(simulate, "sample_paintbox", no_work)
+    out = tmp_path / "out.csv"
+    assert main([command, "--spec", _demo_with_erosion(tmp_path, erosion),
+                 "--seed", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == error
+    assert captured.out == "" and not out.exists()
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # reducible chain: spectral analysis must fail with a numeric error
     path = tmp_path / "red.json"
@@ -246,7 +288,7 @@ EXIT_CODES = {
     "ParseError": 2, "InvalidArgument": 2,
     "SpecValidationError": 3, "NotConservative": 3,
     "DistinctErosionCoefficients": 3, "GroundSizeTooSmall": 3,
-    "ResourceCapExceeded": 5,
+    "PartitionWithErosion": 3, "ResourceCapExceeded": 5,
 }
 
 
@@ -345,7 +387,7 @@ def test_times_outside_the_run_are_usage_errors(spec_b_file, command, times,
 
 @pytest.mark.parametrize("option", [
     "--f-width=nan", "--f-width=inf", "--f-width=0", "--f-width=-1",
-    "--f-center=nan", "--f-center=inf"])
+    "--f-width=1e300", "--f-center=nan", "--f-center=inf"])
 def test_limits_test_function_arguments_are_usage_errors(spec_b_file, option,
                                                          capsys):
     assert main(["limits", "--spec", spec_b_file, "--seed", "1",
@@ -394,8 +436,10 @@ def test_ldcount_times_are_checked_before_any_work(tmp_path, grid, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["tagged", "--t", "1e9", "--replicas", "1"],
+    ["tagged", "--t", "1e5", "--replicas", "100"],
     ["limits", "--t", "1e12"],
-    ["report", "--t", "1e12"]], ids=["tagged", "limits", "report"])
+    ["report", "--t", "1e12"]], ids=["tagged", "tagged-kept", "limits",
+                                     "report"])
 def test_tagged_runs_above_the_jump_cap_exit_at_once(spec_b_file, tmp_path,
                                                      argv, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -408,6 +452,27 @@ def test_tagged_runs_above_the_jump_cap_exit_at_once(spec_b_file, tmp_path,
                             str(out)] + argv[1:]) == 5
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == "ResourceCapExceeded"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["martingale", "--theta", "0.5", "--t", "1e300", "--mass-floor", "1e-3"],
+     4, "NoConvergence"),
+    (["martingale", "--theta", "0.5", "--times", "1e300",
+      "--mass-floor", "1e-3"], 4, "NoConvergence"),
+    (["ldcount", "--replicas", str(2 ** 64)], 5, "ResourceCapExceeded")],
+    ids=["martingale-t", "martingale-times", "ldcount-replicas"])
+def test_arguments_past_the_float_range_fail_cleanly(spec_b_file, tmp_path,
+                                                     argv, code, error, capsys):
+    # e^(t phi) overflows a float; 2^64 replicas cannot fit under the
+    # fragment cap, which counts each replica's root
+    out = tmp_path / "out.csv"
+    assert main(argv[:1] + ["--spec", spec_b_file, "--seed", "1",
+                            "--replicas", "2", "--out", str(out)]
+                + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == error
     assert captured.out == "" and not out.exists()
 
 
@@ -426,7 +491,7 @@ def test_tagged_checks_its_arguments_before_the_jump_cap(tmp_path, model, argv,
         "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.4, 2]]}]}}
     path, out = tmp_path / "m.json", tmp_path / "out"
     path.write_text(json.dumps(dusty if model == "dusty" else SPEC_C_DOC))
-    monkeypatch.setattr(simulate, "MAX_TAGGED_JUMPS", 0)
+    monkeypatch.setattr(simulate, "MAX_KEPT_JUMPS", 0)
     assert main(["tagged", "--spec", str(path), "--seed", "1", "--out",
                  str(out)] + argv) == code
     assert json.loads(capsys.readouterr().err)["error"] == error
@@ -445,6 +510,17 @@ def test_small_jump_cap_refuses_the_benchmark_limits_shape(tmp_path, capsys,
     assert main(argv) == 5
     assert json.loads(capsys.readouterr().err)["error"] == "ResourceCapExceeded"
     assert not out.exists()
+
+
+def test_kept_jump_cap_leaves_the_ensemble_commands_alone(tmp_path,
+                                                          monkeypatch):
+    # limits draws 2.5 M jumps here and keeps none; tagged would keep each
+    path, out = tmp_path / "c.json", tmp_path / "l.json"
+    path.write_text(json.dumps(SPEC_C_DOC))
+    monkeypatch.setattr(simulate, "MAX_KEPT_JUMPS", 0)
+    assert main(["limits", "--spec", str(path), "--seed", "1", "--replicas",
+                 "50000", "--t", "50", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["replicas"] == 50_000
 
 
 @pytest.mark.parametrize("grid", [

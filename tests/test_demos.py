@@ -1,8 +1,4 @@
-"""The demos run to completion against the current library.
-
-``demo_limits_and_counts.py`` is left out because it takes about 40 s,
-close to the rest of the suite together.
-"""
+"""The demos run to completion against the current library."""
 
 import os
 import subprocess
@@ -15,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["demo_simulation.py",
-                                  "demo_model_and_spectral.py"])
+                                  "demo_model_and_spectral.py",
+                                  "demo_limits_and_counts.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -1,7 +1,6 @@
 import heapq
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from scipy import stats
 from multifrag import (
     asymptotic_frequencies,
     build_typed_mass_partition,
-    eroded_snapshot,
     frag,
     fragmentation_spec,
     mass_ensemble,
@@ -121,42 +119,95 @@ def test_fragment_ids_outside_the_run_rejected(spec_c):
 
 # --- erosion ---------------------------------------------------------------------
 
+def _eroding(spec, c):
+    """spec's dislocations with erosion rate c for every type."""
+    return fragmentation_spec(spec.k, {i: spec.atoms(i)
+                                       for i in range(1, spec.k + 1)},
+                              erosion=[c] * spec.k)
+
+
 def test_erosion_identity_at_zero(spec_b):
-    path = simulate_mass_fragmentation(spec_b, 2.0, replica_stream(6, 0))
-    snap = eroded_snapshot(path, 1.5)
-    base = path.snapshot(1.5)
-    assert np.allclose(snap.masses, base.masses)
+    # erosion draws nothing: the eroding model grows the same path, and its
+    # snapshots discount the masses by e^(-ct), which is 1 at c = 0 or t = 0
+    plain = simulate_mass_fragmentation(spec_b, 2.0, replica_stream(6, 0))
+    for c in (0.0, 0.7):
+        path = simulate_mass_fragmentation(_eroding(spec_b, c), 2.0,
+                                           replica_stream(6, 0))
+        for t in (0.0, 1.5):
+            snap, base = path.snapshot(t), plain.snapshot(t)
+            assert np.array_equal(snap.types, base.types)
+            assert np.array_equal(snap.frozen, base.frozen)
+            assert np.array_equal(snap.masses,
+                                  base.masses * math.exp(-c * t))
+    assert np.array_equal(path.snapshot(0.0).masses, [1.0])
 
 
 def test_erosion_discounts_single_fragment():
     # no dislocations: the unit fragment just melts at rate 1
     melt = fragmentation_spec(1, {1: []}, erosion=[1.0])
     path = simulate_mass_fragmentation(melt, 2.0, replica_stream(7, 0))
-    snap = eroded_snapshot(path, LN2)
+    snap = path.snapshot(LN2)
     assert snap.masses == pytest.approx([0.5])
     assert snap.dust == pytest.approx(0.5)
+    seen = []
+    mass_ensemble(melt, [LN2, 2.0], 3, 7,
+                  lambda ti, rep, mass, typ, frozen: seen.append((ti, mass)))
+    assert [(ti, list(mass)) for ti, mass in seen] == [
+        (0, pytest.approx([0.5] * 3)), (1, pytest.approx([math.exp(-2)] * 3))]
 
 
-def test_erosion_total_mass_closes(spec_b):
-    spec = fragmentation_spec(2, {
-        1: [(1.0, [(0.5, 2), (0.5, 2)])],
-        2: [(1.0, [(0.5, 1), (0.5, 1)])],
-    }, erosion=[0.7, 0.7])
+def test_erosion_total_mass_closes(spec_c):
+    spec = _eroding(spec_c, 0.7)
+    times = [0.0, 1.0, 2.5]
     path = simulate_mass_fragmentation(spec, 3.0, replica_stream(8, 0))
-    for t in (0.0, 1.0, 2.5):
-        snap = eroded_snapshot(path, t)
+    for t in times:
+        snap = path.snapshot(t)
         assert snap.total_mass() + snap.dust == pytest.approx(1.0, abs=1e-12)
-        assert snap.total_mass() == pytest.approx(math.exp(-0.7 * t), abs=1e-9)
+        assert snap.total_mass() == pytest.approx(math.exp(-0.7 * t), abs=1e-12)
+    total = np.zeros((len(times), 20))
+
+    def visit(ti, rep, mass, typ, frozen):
+        np.add.at(total[ti], rep, mass)
+
+    mass_ensemble(spec, times, 20, 8, visit)
+    assert np.allclose(total, np.exp(-0.7 * np.array(times))[:, None],
+                       rtol=0, atol=1e-12)
 
 
-def test_erosion_rejects_distinct_coefficients():
-    spec = fragmentation_spec(2, {
-        1: [(1.0, [(0.5, 2), (0.5, 2)])],
-        2: [(1.0, [(0.5, 1), (0.5, 1)])],
-    }, erosion=[0.5, 1.0])
-    path = simulate_mass_fragmentation(spec, 1.0, replica_stream(9, 0))
+def test_erosion_frozen_flags_use_the_masses_before_erosion(spec_c):
+    # at t = 3 the discount e^-3 takes every mass below a floor of 0.04
+    floor, runs = 0.04, []
+    for spec in (spec_c, _eroding(spec_c, 1.0)):
+        snap = simulate_mass_fragmentation(
+            spec, 3.0, replica_stream(12, 0), mass_floor=floor).snapshot(3.0)
+        visits = []
+        mass_ensemble(spec, [3.0], 20, 12,
+                      lambda ti, rep, mass, typ, frozen:
+                      visits.append((mass, frozen)), mass_floor=floor)
+        runs.append((snap, visits))
+    (plain, plain_visits), (snap, visits) = runs
+    assert (snap.masses < floor).all() and not snap.frozen.all()
+    assert np.array_equal(snap.frozen, plain.masses < floor)
+    assert len(visits) == len(plain_visits)
+    for (mass, frozen), (plain_mass, plain_frozen) in zip(visits,
+                                                          plain_visits):
+        assert np.array_equal(frozen, plain_frozen)
+        assert np.array_equal(mass, plain_mass * math.exp(-3.0))
+
+
+def test_erosion_rejects_distinct_coefficients(spec_c, monkeypatch):
+    spec = fragmentation_spec(2, {1: spec_c.atoms(1), 2: spec_c.atoms(2)},
+                              erosion=[0.5, 0.1])
+
+    def no_stream(*args):
+        raise AssertionError("drew before the erosion check")
+
+    monkeypatch.setattr(simulate_module, "replica_stream", no_stream)
+    # no generator at all: the check comes before any draw
     with pytest.raises(DistinctErosionCoefficients):
-        eroded_snapshot(path, 0.5)
+        simulate_mass_fragmentation(spec, 1.0, None)
+    with pytest.raises(DistinctErosionCoefficients):
+        mass_ensemble(spec, [1.0], 5, 9, _ignore)
 
 
 # --- partition-valued paths ---------------------------------------------------------
@@ -202,13 +253,15 @@ def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
 
 
 def test_tagged_jump_cap_refuses_before_any_draw(spec_c, monkeypatch):
-    # SPEC-C splits at rate 1, so n paths to t expect at most n t jumps
+    # SPEC-C splits at rate 1, so n paths to t expect at most n t jumps; a
+    # path keeps its jumps, under MAX_KEPT_JUMPS, and the ensemble none
+    monkeypatch.setattr(simulate_module, "MAX_KEPT_JUMPS", 100)
     monkeypatch.setattr(simulate_module, "MAX_TAGGED_JUMPS", 1000)
-    with pytest.raises(ResourceCapExceeded, match="more than 1000"):
-        simulate_tagged(spec_c, 1001.0, None)
+    with pytest.raises(ResourceCapExceeded, match="more than 100;"):
+        simulate_tagged(spec_c, 101.0, None)
     with pytest.raises(ResourceCapExceeded, match="more than 1000"):
         tagged_ensemble(spec_c, [1.0, 101.0], 10, 5)
-    assert simulate_tagged(spec_c, 1000.0, replica_stream(5, 0)).n_jumps > 0
+    assert simulate_tagged(spec_c, 100.0, replica_stream(5, 0)).n_jumps > 0
     tagged_ensemble(spec_c, [100.0], 10, 5)
 
 
@@ -329,9 +382,8 @@ RECORDS = {
         spec, 2.0, replica_stream(33, 0)).snapshot,
     "dust": lambda spec: simulate_mass_fragmentation(
         spec, 2.0, replica_stream(33, 0)).dust_at,
-    "eroded": lambda spec: partial(eroded_snapshot,
-                                   simulate_mass_fragmentation(
-                                       spec, 2.0, replica_stream(33, 0))),
+    "eroded": lambda spec: simulate_mass_fragmentation(
+        _eroding(spec, 0.5), 2.0, replica_stream(33, 0)).snapshot,
     "partition": lambda spec: simulate_partition_fragmentation(
         spec, 8, 2.0, replica_stream(33, 1)).at,
     "tagged": lambda spec: simulate_tagged(
