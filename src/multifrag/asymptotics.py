@@ -117,12 +117,15 @@ def largest_fragment_rates(snapshot: Snapshot,
         raise InvalidArgument("need t > 0")
     if k is None:
         k = types.max() if types.size else 1
-    overall = -math.log(masses.max()) / t
-    per = []
-    for j in range(1, k + 1):
-        sel = masses[types == j]
-        per.append(-math.log(sel.max()) / t if sel.size else None)
-    return LargestFragmentRates(t=t, overall=overall, per_type=tuple(per))
+
+    def rate(sel):
+        # -log X_1(t) / t, which is +inf when X_1(t) = 0 (all mass is dust)
+        top = sel.max(initial=0.0)
+        return -math.log(top) / t if top > 0.0 else math.inf
+
+    per = [masses[types == j] for j in range(1, k + 1)]
+    return LargestFragmentRates(t=t, overall=rate(masses), per_type=tuple(
+        rate(sel) if sel.size else None for sel in per))
 
 
 def _phi_d1(sd: SpectralData) -> float:
@@ -136,16 +139,22 @@ def ld_predicted_shape(t: float, a: float, b: float, j: int | None,
     """Deterministic factor of the windowed-count estimate at sd.theta.
 
     u_j t^-1/2 e^(t((theta+1)phi' - phi)) (e^(-a(theta+1)) - e^(-b(theta+1)));
-    the path-dependent limit constant multiplying it is not predicted.
+    the path-dependent limit constant multiplying it is not predicted.  An
+    e^(t g), g the growth rate, beyond the float range raises NoConvergence.
     """
     if not a < b:
         raise InvalidWindow(f"need a < b, got a = {a}, b = {b}")
     if not 0.0 < t < math.inf:
         raise InvalidArgument(f"t = {t} must be positive and finite")
     growth = ld_window_exponent(sd)
+    try:
+        scale = math.exp(t * growth)
+    except OverflowError:
+        raise NoConvergence(
+            f"e^(t g) overflows at t = {t}, g = {growth}") from None
     uj = 1.0 if j is None else float(sd.u[j - 1])
     th1 = sd.theta + 1.0
-    return (uj / math.sqrt(t) * math.exp(t * growth)
+    return (uj / math.sqrt(t) * scale
             * (math.exp(-a * th1) - math.exp(-b * th1)))
 
 

@@ -27,8 +27,8 @@ from .errors import (
     MultifragError,
     NoConvergence,
     ParseError,
-    ResourceCapExceeded,
     SpecValidationError,
+    admit,
 )
 from .streams import replica_stream
 
@@ -78,10 +78,11 @@ def parse_spec_file(path: str) -> measures.FragmentationSpec:
     k = _integer(doc["types"], f"{path}: types")
     if k < 1:
         raise ParseError(f"{path}: 'types' must be a positive integer")
-    erosion = doc.get("erosion", [0.0] * k)
-    if not isinstance(erosion, list) or len(erosion) != k:
-        raise ParseError(f"{path}: 'erosion' must list {k} coefficients")
-    erosion = [_number(c, f"erosion[{i}]") for i, c in enumerate(erosion)]
+    erosion = doc.get("erosion")
+    if "erosion" in doc:
+        if not isinstance(erosion, list) or len(erosion) != k:
+            raise ParseError(f"{path}: 'erosion' must list {k} coefficients")
+        erosion = [_number(c, f"erosion[{i}]") for i, c in enumerate(erosion)]
     if not isinstance(doc["dislocation"], dict):
         raise ParseError(f"{path}: 'dislocation' must map types to atom lists")
     dislocation = {}
@@ -237,10 +238,11 @@ def _parse_times(args):
                   if args.times is not None else [args.t])
 
 
-def _snapshots(args, spec, seed):
+def _snapshots(args, spec, seed, cell_bytes):
     """(replica, snapshot) of each replica's mass-fragmentation path at each
-    snapshot time; the times are parsed now, the paths simulated lazily."""
+    time, with the times parsed and admitted now and the paths run lazily."""
     times = _parse_times(args)
+    admit(args.replicas * len(times), cell_bytes, "snapshot cells")
     paths = (simulate.simulate_mass_fragmentation(
         spec, max(times), replica_stream(seed, r),
         initial_type=args.initial_type, mass_floor=args.mass_floor,
@@ -287,7 +289,8 @@ def cmd_validate(args):
 def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
     blocks = []
-    for r, snap in _snapshots(args, spec, _resolve_seed(args, spec)):
+    # 1272 bytes per cell: one-fragment snapshots written as JSON
+    for r, snap in _snapshots(args, spec, _resolve_seed(args, spec), 1272):
         order = np.argsort(-snap.masses, kind="stable")
         blocks.append((np.full(order.size, r), np.full(order.size, snap.t),
                        order, snap.masses[order], snap.types[order],
@@ -301,6 +304,8 @@ def cmd_partition(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
     times = _parse_times(args)
+    # 407 bytes per label: every label a singleton, written as JSON
+    admit(args.replicas * len(times) * args.n, 407, "labels written")
     rows = []
     for r in range(args.replicas):
         path = simulate.simulate_partition_fragmentation(
@@ -372,7 +377,8 @@ def cmd_martingale(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
     thetas = _theta_values(args)
-    snapshots = _snapshots(args, spec, seed)  # checks --times first
+    # 333 bytes per row: one-fragment snapshots written as JSON
+    snapshots = _snapshots(args, spec, seed, 333 * len(thetas))
     sds = [spectral.perron_eigen(spec, th) for th in thetas]
     rows = [(r, sd.theta, snap.t, asymptotics.biggins_martingale(snap, sd))
             for r, snap in snapshots for sd in sds]
@@ -419,10 +425,7 @@ def cmd_ldcount(args):
     # checked before theta_bar: the predicted shape carries t^(-1/2)
     if not all(0.0 < t < math.inf for t in times):
         raise InvalidArgument(f"--t-grid: need 0 < t < inf, got {times}")
-    # each replica's root counts against the cap, so the run cannot finish
-    if args.replicas > args.max_fragments:
-        raise ResourceCapExceeded(f"--replicas {args.replicas} is more than "
-                                  f"--max-fragments {args.max_fragments}")
+    admit(len(times) * args.replicas * spec.k, 8, "window counts")
     asymptotics.lattice_check(spec)
     tb, _ = spectral.theta_bar(spec)
     theta = args.theta_frac * tb
@@ -586,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-fragments", dest="max_fragments", type=int,
                    default=50_000_000,
                    help="fragments grown over all replicas before the run "
-                        "is refused (exit 5); a wave of n fragments peaks "
-                        "at about 110 n bytes")
+                        "is refused (exit 5)")
     p.set_defaults(func=cmd_ldcount)
 
     p = sub.add_parser("report", help="aggregate model summary")

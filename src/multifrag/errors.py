@@ -112,6 +112,19 @@ class ResourceCapExceeded(MultifragError):
     exit_code = 5
 
 
+MAX_RUN_BYTES = 2 ** 30
+
+
+def admit(items, item_bytes: int, what: str) -> int:
+    """Refuse items past MAX_RUN_BYTES // item_bytes and return that count;
+    item_bytes is a tracemalloc peak on the worst shape, named at the call."""
+    most = int(MAX_RUN_BYTES // item_bytes)
+    if not items <= most:
+        raise ResourceCapExceeded(f"more than {most} {what} at {item_bytes:g} "
+                                  f"bytes each pass the run budget")
+    return most
+
+
 # --- warnings -----------------------------------------------------------------
 
 class ThetaAboveCritical(UserWarning):

@@ -23,6 +23,7 @@ from .errors import (
     SpecValidationError,
     ThetaOutOfDomain,
     TypeOutOfRange,
+    admit,
 )
 from .partitions import MASS_TOL, TypedMassPartition, build_typed_mass_partition
 
@@ -149,6 +150,8 @@ def fragmentation_spec(k: int, dislocation, erosion=None,
     as accepted by build_typed_mass_partition.  ``conservative`` defaults to
     auto-detection (zero erosion and dust-free atoms).
     """
+    # 10 bytes per cell of the k x k matrices: k = 2000 with no atoms
+    admit(max(k, 0) ** 2, 10, "cells of k x k matrices")
     erosion = tuple(float(c) for c in (erosion if erosion is not None else [0.0] * k))
     bad = [("TypeOutOfRange", f"nu_{key!r}: dislocation type outside 1..{k}")
            for key in dislocation if key not in range(1, k + 1)]

@@ -30,6 +30,12 @@ for statistics that need large populations or many replicas.  One wave
 generator, ``_waves``, advances the lanes of both a generation at a time
 and takes all their draws, in one order.  Every engine draws from the rates
 and selection tables compiled into the spec (see FragmentationSpec).
+
+Each engine checks with ``errors.admit``, against the one byte budget
+MAX_RUN_BYTES, every size it knows before its first draw, and holds what
+grows during a run (a path's fragments or labels, one wave's rows) to a
+count that the budget gives once per run.  MAX_TAGGED_JUMPS and
+``max_fragments`` bound work, not memory.
 """
 
 import heapq
@@ -47,6 +53,7 @@ from .errors import (
     NotConservative,
     PartitionWithErosion,
     ResourceCapExceeded,
+    admit,
 )
 from .measures import FragmentationSpec
 from .paintbox import sample_paintbox
@@ -58,12 +65,8 @@ from .partitions import (
 from .streams import replica_stream
 
 DEFAULT_MASS_FLOOR = 1e-9
-# the most labels a partition path may store, summed over all its blocks
-MAX_PARTITION_LABELS = 10 ** 7
-# the most jumps a tagged run may expect, summed over all its paths
+# the most jumps a tagged run may expect: paths x horizon x the largest rate
 MAX_TAGGED_JUMPS = 10 ** 8
-# the same for a run that keeps every jump, at about 320 bytes each: 1 GB
-MAX_KEPT_JUMPS = 3 * 10 ** 6
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -80,29 +83,17 @@ def _check_horizon(t_max: float) -> None:
 
 def check_tagged_run(spec: FragmentationSpec, t_max: float, n_paths: int,
                      *, initial_type: int = 1) -> None:
-    """Refuse n_paths tagged paths to t_max, each keeping all its jumps,
+    """Refuse n_paths tagged paths to t_max, each keeping all its rows,
     before any work, with the errors of simulate_tagged in its order: a bad
-    initial type or horizon, a non-conservative spec, then more expected
-    jumps than MAX_KEPT_JUMPS."""
+    initial type or horizon, a non-conservative spec, then more paths than
+    the budget holds at 1 + t_max max(type_rate) expected rows or fewer."""
     spec.check_type(initial_type)
     _check_horizon(t_max)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
-    _check_tagged_jumps(spec, t_max, n_paths, MAX_KEPT_JUMPS)
-
-
-def _check_tagged_jumps(spec: FragmentationSpec, t_max: float,
-                        n_paths: int, cap: int) -> None:
-    """Raise ResourceCapExceeded when n_paths * t_max * max(type_rate)
-    exceeds cap.  Each path's jump count is dominated by a Poisson variable
-    with mean t_max * max(type_rate), so this bounds the expected work of
-    the run."""
-    expected = n_paths * t_max * float(spec.type_rate.max())
-    if expected > cap:
-        raise ResourceCapExceeded(
-            f"{n_paths} tagged paths to t = {t_max} may take {expected:.3g} "
-            f"jumps, more than {cap}; shorten the horizon or run fewer "
-            f"replicas")
+    # 320 bytes per row: `tagged` on the demo model
+    admit(n_paths, 320 * (1.0 + t_max * float(spec.type_rate.max())),
+          "tagged paths")
 
 
 def _erosion(spec: FragmentationSpec) -> float:
@@ -275,6 +266,9 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
                 f"shorten t_max")
     if cap < 1:
         raise ResourceCapExceeded(too_many)
+    # 157 bytes per fragment, snapshot included: atoms of 2 to 4 parts, floor 0
+    size = 157, "fragments of a path"
+    cap = min(cap, admit(1, *size))
     masses, types = path._mass, path._type
     add_mass, add_type = masses.append, types.append
     add_time, add_parent = path._event_time.append, path._event_parent.append
@@ -304,6 +298,7 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
             add_mass(mass)
             add_type(child_type)
             if child >= cap:
+                admit(child + 1, *size)
                 raise ResourceCapExceeded(too_many)
             if not mass < mass_floor and scales[child_type]:
                 push(heap, (time + exponential(scales[child_type]), child))
@@ -343,11 +338,11 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     hit draws an atom and replaces the block by a paintbox sample of the
     atom's outcome on the block's elements.  Only clocks of the block's own
     type are scheduled, which realizes the rule that atoms of mismatched
-    type are non-events.  A path that would store more than
-    MAX_PARTITION_LABELS labels, summed over its blocks, raises
-    ResourceCapExceeded.  Erosion would make single elements leave their
-    blocks as singletons of type 0, which this engine does not simulate, so
-    a model with any positive erosion rate raises PartitionWithErosion.
+    type are non-events.  A path that would store more labels, summed over
+    its blocks, than the run budget holds raises ResourceCapExceeded.
+    Erosion would make single elements leave their blocks as singletons of
+    type 0, which this engine does not simulate, so a model with any
+    positive erosion rate raises PartitionWithErosion.
     """
     initial_type = int(spec.check_type(initial_type))
     if n < 2:
@@ -357,21 +352,16 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
         raise PartitionWithErosion(
             f"erosion coefficients {list(spec.erosion)}: partition paths do "
             f"not simulate erosion")
-    too_many = (f"more than {MAX_PARTITION_LABELS} labels stored over the "
-                f"path; lower n or t_max")
-    if n > MAX_PARTITION_LABELS:
-        raise ResourceCapExceeded(too_many)
+    # 146 bytes per label: every label a singleton block, n = 16384
+    size = 146, "labels stored over the path"
+    most = admit(n, *size)
     rates = spec.type_rate.tolist()
     cums = [cum.tolist() for cum in spec.atom_cum]
     path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
-    stored = 0
+    stored = n  # each event stores the labels of the block it splits again
 
     def add_block(elems, typ, birth):
-        nonlocal stored
-        stored += len(elems)
-        if stored > MAX_PARTITION_LABELS:
-            raise ResourceCapExceeded(too_many)
         uid = len(path._blocks)
         path._blocks.append((elems, typ, birth))
         path._end.append(math.inf)
@@ -385,6 +375,9 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
             break
         path._end[uid] = time
         elems, typ, _ = path._blocks[uid]
+        stored += len(elems)
+        if stored > most:
+            admit(stored, *size)
         atom = bisect_right(cums[typ], rng.random())
         outcome = spec.dislocation[typ - 1][atom].outcome
         local = sample_paintbox(outcome, len(elems), rng)
@@ -501,7 +494,12 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
     times = _observation_times(times, n_replicas)
-    _check_tagged_jumps(spec, times[-1], n_replicas, MAX_TAGGED_JUMPS)
+    # 16 output bytes per time and 112 bytes of lanes per replica: SPEC-C
+    admit(n_replicas, 16 * times.size + 112, "tagged replicas")
+    jumps = n_replicas * times[-1] * float(spec.type_rate.max())
+    if jumps > MAX_TAGGED_JUMPS:
+        raise ResourceCapExceeded(f"{jumps:.3g} expected jumps, more than "
+                                  f"{MAX_TAGGED_JUMPS}")
     out_j = np.zeros((len(times), n_replicas), dtype=np.int64)
     out_s = np.zeros((len(times), n_replicas))
 
@@ -532,8 +530,8 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     Replicas are processed in chunks (all at once by default); replica r of
     chunk c draws from the stream keyed (seed, first replica of c), so
     results are reproducible for fixed seed and chunking.  Growing more than
-    ``max_fragments`` fragments, counted over all replicas, raises
-    ResourceCapExceeded before the wave that would pass it is allocated.
+    ``max_fragments`` fragments over all replicas, or a wave past the run
+    budget, raises ResourceCapExceeded before that wave is allocated.
     Returns each replica's dust from non-conservative atoms, before erosion.
     """
     spec.check_type(initial_type)
@@ -542,18 +540,21 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     if replica_chunk is not None and replica_chunk < 1:
         raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
     erosion = _erosion(spec)
+    admit(n_replicas, 8, "replicas' dust")
     dust_out = np.zeros(n_replicas)
     chunk = n_replicas if replica_chunk is None else int(replica_chunk)
     produced = 0
 
     def grow(n):
-        """Count n more fragments against the cap, before their wave."""
+        """Count a wave of n fragments against the cap and the budget."""
         nonlocal produced
         produced += n
         if max_fragments is not None and produced > max_fragments:
             raise ResourceCapExceeded(
                 f"more than {max_fragments} fragments grown; raise "
                 f"mass_floor or shorten the horizon")
+        # 113 bytes per row: SPEC-A at floor 0, with ldcount's visitor
+        admit(n, 113, "fragments in one wave")
 
     def rate(typ, rep, mass):
         # a frozen fragment never splits

@@ -197,6 +197,19 @@ def test_largest_fragment_missing_type(spec_c):
     assert out.overall == pytest.approx(LN2 / 2.0)
 
 
+def test_largest_fragment_of_no_mass():
+    # X_1(t) = 0, so -log X_1(t) / t = +inf: every fragment went to dust, or
+    # every mass underflowed to 0
+    all_dust = fragmentation_spec(1, {1: [(1.0, [])]})
+    snap = simulate_mass_fragmentation(all_dust, 5.0,
+                                       replica_stream(1, 0)).snapshot(5.0)
+    assert snap.masses.size == 0 and snap.dust == 1.0
+    rates = largest_fragment_rates(snap)
+    assert rates.overall == math.inf and rates.per_type == (None,)
+    rates = largest_fragment_rates(_snap(2.0, [0.0, 0.0], [2, 2]), k=2)
+    assert rates.overall == math.inf and rates.per_type == (None, math.inf)
+
+
 # --- windowed counts ----------------------------------------------------------------------
 
 def test_ld_count_trivial_windows(spec_c):
@@ -245,6 +258,13 @@ def test_ld_predicted_shape_profile(spec_c):
     ratio = (ld_predicted_shape(11.0, 0.5, 2.0, 1, sd)
              / ld_predicted_shape(10.0, 0.5, 2.0, 1, sd))
     assert math.log(ratio * math.sqrt(11.0 / 10.0)) == pytest.approx(r)
+
+
+def test_ld_predicted_shape_past_the_float_range(spec_c):
+    # e^(t g) overflows a float at t = 5000 (g is about 0.37)
+    sd = perron_eigen(spec_c, 0.5 * theta_bar(spec_c)[0], with_derivatives=True)
+    with pytest.raises(NoConvergence):
+        ld_predicted_shape(5000.0, 0.5, 2.0, 1, sd)
 
 
 # --- test functions and the quadrature oracle ------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multifrag import asymptotics, cli, simulate, spectral
+from multifrag import asymptotics, cli, errors, simulate, spectral
 from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
 from multifrag.errors import (
     MaximumAtBracketEdge,
@@ -197,7 +197,7 @@ def test_partition_above_the_label_cap_exits_at_once(spec_b_file, tmp_path,
 
     monkeypatch.setattr(simulate, "sample_paintbox", no_work)
     out = tmp_path / "p.csv"
-    n = simulate.MAX_PARTITION_LABELS + 1
+    n = errors.MAX_RUN_BYTES  # every label takes more than a byte
     assert main(["partition", "--spec", spec_b_file, "--seed", "1",
                  "--n", str(n), "--out", str(out)]) == 5
     captured = capsys.readouterr()
@@ -455,17 +455,54 @@ def test_tagged_runs_above_the_jump_cap_exit_at_once(spec_b_file, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("argv, code, error", [
+BIG = str(2 ** 40)
+
+
+@pytest.mark.filterwarnings("ignore::multifrag.errors.LatticeJumpSizes")
+@pytest.mark.parametrize("argv, code, error, draws", [
     (["martingale", "--theta", "0.5", "--t", "1e300", "--mass-floor", "1e-3"],
-     4, "NoConvergence"),
+     4, "NoConvergence", True),
     (["martingale", "--theta", "0.5", "--times", "1e300",
-      "--mass-floor", "1e-3"], 4, "NoConvergence"),
-    (["ldcount", "--replicas", str(2 ** 64)], 5, "ResourceCapExceeded")],
-    ids=["martingale-t", "martingale-times", "ldcount-replicas"])
+      "--mass-floor", "1e-3"], 4, "NoConvergence", True),
+    (["ldcount", "--replicas", str(2 ** 64)], 5, "ResourceCapExceeded", False),
+    (["ldcount", "--replicas", str(10 ** 12), "--max-fragments",
+      str(10 ** 13)], 5, "ResourceCapExceeded", False),
+    (["limits", "--replicas", BIG, "--t", "1e-9"], 5, "ResourceCapExceeded",
+     False),
+    (["report", "--replicas", BIG, "--t", "1e-9"], 5, "ResourceCapExceeded",
+     False),
+    (["tagged", "--replicas", BIG, "--t", "1e-9"], 5, "ResourceCapExceeded",
+     False),
+    (["simulate", "--replicas", str(2 ** 64)], 5, "ResourceCapExceeded",
+     False),
+    (["martingale", "--replicas", str(2 ** 64)], 5, "ResourceCapExceeded",
+     False),
+    (["partition", "--replicas", str(2 ** 64)], 5, "ResourceCapExceeded",
+     False),
+    (["tagged", "--replicas", str(10 ** 400)], 5, "ResourceCapExceeded",
+     False),
+    (["limits", "--replicas", str(10 ** 400)], 5, "ResourceCapExceeded",
+     False),
+    (["ldcount", "--replicas", "4", "--t-grid", "1e300"], 5,
+     "ResourceCapExceeded", True)],
+    ids=["martingale-t", "martingale-times", "ldcount-replicas",
+         "ldcount-counts", "limits-outputs", "report-outputs", "tagged-rows",
+         "simulate-cells", "martingale-rows", "partition-labels",
+         "tagged-past-floats", "limits-past-floats", "ldcount-wave"])
 def test_arguments_past_the_float_range_fail_cleanly(spec_b_file, tmp_path,
-                                                     argv, code, error, capsys):
-    # e^(t phi) overflows a float; 2^64 replicas cannot fit under the
-    # fragment cap, which counts each replica's root
+                                                     argv, code, error, draws,
+                                                     capsys, monkeypatch):
+    # e^(t phi) overflows a float; the other runs pass the byte budget,
+    # before any draw except for the last: its floor a e^(-t phi') underflows
+    # to 0, so its waves grow until one passes the budget
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew before the run was admitted")
+
+    if draws:  # a small budget, so the waves stay small
+        monkeypatch.setattr(errors, "MAX_RUN_BYTES", 2 ** 24)
+    else:
+        monkeypatch.setattr(simulate, "replica_stream", no_work)
+        monkeypatch.setattr(cli, "replica_stream", no_work)
     out = tmp_path / "out.csv"
     assert main(argv[:1] + ["--spec", spec_b_file, "--seed", "1",
                             "--replicas", "2", "--out", str(out)]
@@ -474,6 +511,23 @@ def test_arguments_past_the_float_range_fail_cleanly(spec_b_file, tmp_path,
     assert captured.err.count("\n") == 1
     assert json.loads(captured.err)["error"] == error
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("types", [10 ** 5, 10 ** 12])
+@pytest.mark.parametrize("command", ["validate", "simulate", "partition",
+                                     "tagged", "spectral", "martingale",
+                                     "limits", "ldcount", "report"])
+def test_a_spec_past_the_budget_exits_at_once(tmp_path, command, types,
+                                              capsys):
+    # k x k cells of 10 bytes: 100 GB at k = 10^5
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"types": types, "dislocation": {}}))
+    seed = [] if command in ("validate", "spectral") else ["--seed", "1"]
+    assert main([command, "--spec", str(path)] + seed) == 5
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "ResourceCapExceeded"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("model, argv, code, error", [
@@ -491,7 +545,8 @@ def test_tagged_checks_its_arguments_before_the_jump_cap(tmp_path, model, argv,
         "2": [{"rate": 1.0, "fragments": [[0.5, 2], [0.4, 2]]}]}}
     path, out = tmp_path / "m.json", tmp_path / "out"
     path.write_text(json.dumps(dusty if model == "dusty" else SPEC_C_DOC))
-    monkeypatch.setattr(simulate, "MAX_KEPT_JUMPS", 0)
+    # room for the spec's four cells, at 10 bytes each, but not for one row
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 319)
     assert main(["tagged", "--spec", str(path), "--seed", "1", "--out",
                  str(out)] + argv) == code
     assert json.loads(capsys.readouterr().err)["error"] == error
@@ -512,15 +567,21 @@ def test_small_jump_cap_refuses_the_benchmark_limits_shape(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_kept_jump_cap_leaves_the_ensemble_commands_alone(tmp_path,
+def test_kept_jump_cap_leaves_the_ensemble_commands_alone(tmp_path, capsys,
                                                           monkeypatch):
-    # limits draws 2.5 M jumps here and keeps none; tagged would keep each
+    # limits draws 2.5 M jumps here and keeps 0.8 MB of outputs; tagged
+    # would keep each jump, 816 MB of rows
     path, out = tmp_path / "c.json", tmp_path / "l.json"
     path.write_text(json.dumps(SPEC_C_DOC))
-    monkeypatch.setattr(simulate, "MAX_KEPT_JUMPS", 0)
-    assert main(["limits", "--spec", str(path), "--seed", "1", "--replicas",
-                 "50000", "--t", "50", "--out", str(out)]) == 0
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 10 ** 8)
+    argv = ["--spec", str(path), "--seed", "1", "--replicas", "50000", "--t",
+            "50", "--out", str(out)]
+    assert main(["limits"] + argv) == 0
     assert json.loads(out.read_text())["replicas"] == 50_000
+    out.unlink()
+    assert main(["tagged"] + argv) == 5
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceCapExceeded"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", [

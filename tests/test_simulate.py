@@ -23,7 +23,7 @@ from multifrag import (
     tagged_ensemble,
     typed_block_partition,
 )
-from multifrag import simulate as simulate_module
+from multifrag import errors, simulate as simulate_module
 from multifrag.simulate import Event, Fragment
 from multifrag.errors import (
     DistinctErosionCoefficients,
@@ -239,7 +239,8 @@ def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
         return sample_paintbox(*args)
 
     monkeypatch.setattr(simulate_module, "sample_paintbox", counting_paintbox)
-    monkeypatch.setattr(simulate_module, "MAX_PARTITION_LABELS", 24)
+    # a budget of 24 labels, at 146 bytes each
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 24 * 146)
     path = simulate_partition_fragmentation(spec_b, 8, 0.01,
                                             replica_stream(10, 2))
     assert path.at(0.0) == one_block_partition(8, 1)
@@ -254,10 +255,11 @@ def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
 
 def test_tagged_jump_cap_refuses_before_any_draw(spec_c, monkeypatch):
     # SPEC-C splits at rate 1, so n paths to t expect at most n t jumps; a
-    # path keeps its jumps, under MAX_KEPT_JUMPS, and the ensemble none
-    monkeypatch.setattr(simulate_module, "MAX_KEPT_JUMPS", 100)
+    # path keeps its rows, 1 + t of them at 320 bytes each, and the ensemble
+    # none
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 101 * 320)
     monkeypatch.setattr(simulate_module, "MAX_TAGGED_JUMPS", 1000)
-    with pytest.raises(ResourceCapExceeded, match="more than 100;"):
+    with pytest.raises(ResourceCapExceeded, match="more than 0 tagged paths"):
         simulate_tagged(spec_c, 101.0, None)
     with pytest.raises(ResourceCapExceeded, match="more than 1000"):
         tagged_ensemble(spec_c, [1.0, 101.0], 10, 5)
@@ -603,6 +605,37 @@ def test_mass_ensemble_three_types_mixed_atoms():
         vals = acc[0, :, 0, j - 1]
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - exact[j - 1]) < 4 * se
+
+
+def test_runs_past_the_byte_budget_are_refused(spec_c, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew before the run was admitted")
+
+    monkeypatch.setattr(simulate_module, "replica_stream", no_work)
+    monkeypatch.setattr(simulate_module, "sample_paintbox", no_work)
+    # 2^64 replicas' dust passes the budget, whatever max_fragments says
+    with pytest.raises(ResourceCapExceeded, match="replicas' dust"):
+        mass_ensemble(spec_c, [1.0], 2 ** 64, 1, _ignore, max_fragments=10)
+    with pytest.raises(ResourceCapExceeded, match="tagged replicas"):
+        tagged_ensemble(spec_c, [1e-9], 2 ** 40, 1)
+    with pytest.raises(ResourceCapExceeded, match="labels stored"):
+        simulate_partition_fragmentation(spec_c, 2 ** 30, 1.0, None)
+    for k in (10 ** 5, 10 ** 12):
+        with pytest.raises(ResourceCapExceeded, match="cells of k x k"):
+            fragmentation_spec(k, {})
+
+
+def test_growth_past_the_byte_budget_is_refused(spec_c, monkeypatch):
+    # with no floor the population grows until the budget's count stops it,
+    # long before max_fragments would
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 2 ** 22)
+    with pytest.raises(ResourceCapExceeded, match="in one wave"):
+        mass_ensemble(spec_c, [60.0], 1, 1, _ignore, mass_floor=0.0,
+                      max_fragments=10 ** 9)
+    with pytest.raises(ResourceCapExceeded,
+                       match=f"more than {2 ** 22 // 157} fragments"):
+        simulate_mass_fragmentation(spec_c, 60.0, replica_stream(1, 0),
+                                    mass_floor=0.0, max_fragments=10 ** 9)
 
 
 def test_mass_ensemble_respects_fragment_cap(spec_a):
