@@ -16,6 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -239,16 +240,16 @@ def _parse_times(args):
 
 
 def _snapshots(args, spec, seed, cell_bytes):
-    """(replica, snapshot) of each replica's mass-fragmentation path at each
-    time, with the times parsed and admitted now and the paths run lazily."""
+    """The sorted snapshot times, admitted as replicas x times cells, and a
+    function passing visit(time_index, replica, masses, types, frozen) each
+    replica's fragments alive at each time, wave by wave; replica r draws
+    from the stream keyed (seed, r), whatever the number of replicas."""
     times = _parse_times(args)
     admit(args.replicas * len(times), cell_bytes, "snapshot cells")
-    paths = (simulate.simulate_mass_fragmentation(
-        spec, max(times), replica_stream(seed, r),
-        initial_type=args.initial_type, mass_floor=args.mass_floor,
-        max_fragments=args.max_fragments) for r in range(args.replicas))
-    return ((r, path.snapshot(t)) for r, path in enumerate(paths)
-            for t in times)
+    return times, partial(
+        simulate.mass_ensemble, spec, times, args.replicas, seed,
+        replica_chunk=1, initial_type=args.initial_type,
+        mass_floor=args.mass_floor, max_fragments=args.max_fragments)
 
 
 def _theta_values(args):
@@ -288,13 +289,18 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
-    blocks = []
     # 1272 bytes per cell: one-fragment snapshots written as JSON
-    for r, snap in _snapshots(args, spec, _resolve_seed(args, spec), 1272):
-        order = np.argsort(-snap.masses, kind="stable")
-        blocks.append((np.full(order.size, r), np.full(order.size, snap.t),
-                       order, snap.masses[order], snap.types[order],
-                       snap.frozen[order].astype(np.int64)))
+    times, run = _snapshots(args, spec, _resolve_seed(args, spec), 1272)
+    cells = {}  # (replica, time index) -> its pieces in arrival order
+    run(lambda ti, rep, *piece:
+        cells.setdefault((rep[0], ti), []).append(piece))
+    blocks = []
+    for r, ti in sorted(cells):
+        masses, types, frozen = map(np.concatenate, zip(*cells.pop((r, ti))))
+        order = np.argsort(-masses, kind="stable")
+        blocks.append((np.full(order.size, r), np.full(order.size, times[ti]),
+                       order, masses[order], types[order],
+                       frozen[order].astype(np.int64)))
     _write_rows(args, ["replica", "time", "fragment_id", "mass", "type",
                        "frozen_flag"],
                 [np.concatenate(col) for col in zip(*blocks)])
@@ -378,11 +384,20 @@ def cmd_martingale(args):
     seed = _resolve_seed(args, spec)
     thetas = _theta_values(args)
     # 333 bytes per row: one-fragment snapshots written as JSON
-    snapshots = _snapshots(args, spec, seed, 333 * len(thetas))
+    times, run = _snapshots(args, spec, seed, 333 * len(thetas))
     sds = [spectral.perron_eigen(spec, th) for th in thetas]
-    rows = [(r, sd.theta, snap.t, asymptotics.biggins_martingale(snap, sd))
-            for r, snap in snapshots for sd in sds]
-    _write_rows(args, ["replica", "theta", "t", "M"], list(zip(*rows)))
+    m = np.zeros((args.replicas, len(times), len(sds)))
+
+    def visit(ti, rep, mass, typ, frozen):
+        # M sums over fragments, so each wave adds its part (dust unread)
+        part = simulate.Snapshot(times[ti], mass, typ, frozen, math.nan)
+        m[rep[0], ti] += [asymptotics.biggins_martingale(part, sd)
+                          for sd in sds]
+
+    run(visit)
+    r, ti, k = np.indices(m.shape).reshape(3, -1)
+    _write_rows(args, ["replica", "theta", "t", "M"],
+                [r, np.array(thetas)[k], np.array(times)[ti], m.ravel()])
 
 
 def cmd_limits(args):
@@ -535,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="mass-fragmentation snapshots",
         description="One row per fragment alive at each time, by decreasing "
                     "mass.  fragment_id is its rank within that snapshot (from "
-                    "0, in path-id order), not its id in the path.")
+                    "0, in the order the fragments were grown), not an id that "
+                    "follows it from one time to the next.")
     common(p)
     snapshot_options(p)
     p.set_defaults(func=cmd_simulate)

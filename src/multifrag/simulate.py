@@ -29,7 +29,10 @@ Python lists of the compiled selection tables.
 for statistics that need large populations or many replicas.  One wave
 generator, ``_waves``, advances the lanes of both a generation at a time
 and takes all their draws, in one order.  Every engine draws from the rates
-and selection tables compiled into the spec (see FragmentationSpec).
+and selection tables compiled into the spec (see FragmentationSpec).  The
+CLI's ``simulate``, ``martingale`` and ``ldcount`` read their fragments from
+``mass_ensemble``; ``simulate_mass_fragmentation`` stays as the library's
+recorder of one path's events.
 
 Each engine checks with ``errors.admit``, against the one byte budget
 MAX_RUN_BYTES, every size it knows before its first draw, and holds what

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multifrag import asymptotics, cli, errors, simulate, spectral
+from multifrag import (
+    asymptotics,
+    cli,
+    errors,
+    fragmentation_spec,
+    simulate,
+    spectral,
+)
 from multifrag.cli import _write_rows, main, parse_spec_file, spec_to_document
 from multifrag.errors import (
     MaximumAtBracketEdge,
@@ -190,6 +197,19 @@ def test_exit_code_resource_cap(spec_b_file, capsys):
     assert code == 5
 
 
+def test_simulate_without_a_floor_stops_at_the_fragment_cap(tmp_path,
+                                                            capsys):
+    # the waves grow until the next one would pass the default
+    # --max-fragments, counted over the whole run; none is written
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--spec", DEMO_MODEL, "--seed", "1", "--t", "60",
+                 "--mass-floor", "0", "--out", str(out)]) == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ResourceCapExceeded"
+    assert err["message"].startswith("more than 2000000 fragments grown")
+    assert not out.exists()
+
+
 def test_partition_above_the_label_cap_exits_at_once(spec_b_file, tmp_path,
                                                       capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -317,7 +337,7 @@ def test_theta_out_of_domain_is_a_numeric_error_before_any_simulation(
     def no_work(*args, **kwargs):
         raise AssertionError("simulated before theta was checked")
 
-    monkeypatch.setattr(simulate, "simulate_mass_fragmentation", no_work)
+    monkeypatch.setattr(simulate, "mass_ensemble", no_work)
     seed = ["--seed", "1"] if command == "martingale" else []
     assert main([command, "--spec", spec_b_file, "--theta=" + theta]
                 + seed) == 4
@@ -714,6 +734,61 @@ def test_replica_streams_do_not_depend_on_replica_count(spec_b_file, tmp_path):
     small_lines = small.read_text().strip().splitlines()
     large_lines = large.read_text().strip().splitlines()
     assert large_lines[:len(small_lines)] == small_lines
+
+
+@pytest.mark.parametrize("command", [["simulate"],
+                                     ["martingale", "--theta", "0.5"]],
+                         ids=["simulate", "martingale"])
+def test_snapshot_rows_do_not_depend_on_replica_count(command, spec_b_file,
+                                                      tmp_path):
+    tables = []
+    for replicas in (3, 5):
+        out = tmp_path / f"{replicas}.csv"
+        assert main(command + ["--spec", spec_b_file, "--seed", "6",
+                               "--times", "1,2", "--replicas", str(replicas),
+                               "--out", str(out)]) == 0
+        tables.append(out.read_text().splitlines())
+    assert tables[1][:len(tables[0])] == tables[0]
+    assert {line.split(",")[0] for line in tables[1][1:]} == set("01234")
+
+
+def test_simulate_writes_no_rows_for_a_replica_left_with_dust(tmp_path):
+    # each split leaves only dust: a replica whose root split by t = 1 has
+    # no rows then, and the replicas after it keep their ids
+    spec = fragmentation_spec(1, {1: [(1.0, [])]})
+    path, out = tmp_path / "dust.json", tmp_path / "s.csv"
+    path.write_text(json.dumps(spec_to_document(spec)))
+    argv = ["simulate", "--spec", str(path), "--seed", "3", "--replicas", "8"]
+    assert main(argv + ["--times", "0,1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    at = {t: [int(r) for r, time, *_ in rows if float(time) == t]
+          for t in (0.0, 1.0)}
+    alive = []
+    simulate.mass_ensemble(spec, [1.0], 8, 3,
+                           lambda ti, rep, *_: alive.extend(rep.tolist()),
+                           replica_chunk=1)
+    assert at[0.0] == list(range(8))
+    assert at[1.0] == alive and alive and alive != list(range(len(alive)))
+    # by t = 50 every root has split
+    assert main(argv + ["--times", "50", "--format", "json",
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == []
+
+
+def test_simulate_repeats_a_duplicate_time_and_starts_at_the_root(spec_b_file,
+                                                                  tmp_path):
+    def rows(times):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--spec", spec_b_file, "--seed", "8",
+                     "--replicas", "2", "--times", times,
+                     "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    once = rows("1.5")
+    assert len(once) > 2
+    assert rows("1.5,1.5") == [line for r in "01" for _ in range(2)
+                               for line in once if line.startswith(r + ",")]
+    assert rows("0") == ["0,0.0,0,1.0,1,0", "1,0.0,0,1.0,1,0"]
 
 
 def test_different_seeds_differ(spec_b_file, tmp_path):

@@ -8,8 +8,11 @@ what it printed.  limits, report and validate always write JSON and take no
 --format, so they have one case per model.  Most digests were taken before
 the heap and tagged engines and the row writer moved to flat columns, those
 of limits, report and validate before the CLI took exit codes from the error
-classes; they pin the random streams and the output bytes.  A change that
-alters either on purpose updates them and says so in CHANGES.md.
+classes, and those of simulate and martingale on spec_c, dusty and
+three_type when the two commands moved from the heap engine to the wave
+driver, ``mass_ensemble``; they pin the random streams and the output
+bytes.  A change that alters either on purpose updates them and says so in
+CHANGES.md.
 """
 
 import contextlib
@@ -59,10 +62,10 @@ COMMANDS = {
 JSON_ONLY = {"limits", "report", "validate"}
 
 DIGESTS = {
-    "simulate-spec_c-csv": "8b9c27721c0e83962ee1d64ec157e72c882b94f3313ba77428c3ec484515c97c",
-    "simulate-spec_c-json": "002545239e65658b34df24f115e44b5be68d19da097ce4713dad3f24ea2c6b40",
-    "martingale-spec_c-csv": "da0b5e1ccbede8428ed84219dece4de0fe9be3a4ce65af5ed2947fca892aad91",
-    "martingale-spec_c-json": "cb923b77585e4f890aff1ddb1ef4685b0b7ea984127185daec81c57748c208e6",
+    "simulate-spec_c-csv": "054a1479d3afdb665dc220c753f82a45e85acb5cbdba1855f25a4eb4062c83ec",
+    "simulate-spec_c-json": "9474e289519f1a50c0bf41ce02c6471a5e261855a8522bf831f907b4fcbd2f78",
+    "martingale-spec_c-csv": "9f7b9ac1decf52b0acb6cc1d32bddef67f63b58ccfed7b87d3dd9153596b4831",
+    "martingale-spec_c-json": "a1ea1d207976c432f791f207ef94901e284db8eb9109c909cdfb989341e1b7af",
     "tagged-spec_c-csv": "850dedb971da9aebab9d9ff98fe240a2620ca55080ee6c4b5d51649fda1006a4",
     "tagged-spec_c-json": "c0ccb6e46d452515493939882db0621d840f010046d46f28ea3a3285041aa940",
     "partition-spec_c-csv": "d8ce9011bdd6d571ce44461f3c8f9d585634afb134b8ee160a6a6fc8256864eb",
@@ -74,8 +77,8 @@ DIGESTS = {
     "limits-spec_c-json": "3f8f00661c61950655a52dfb072c9aaf7bcc8996583ebd03d10a2c02c5f88d95",
     "report-spec_c-json": "a9b5d2ff01bf14f38d6ca41719285335142e72a968ce1ba62aa3f27c73ed1563",
     "validate-spec_c-json": "94f597a4c7f649a7da9380553ff0410c7337d51b23c2024dba32ce1119df65db",
-    "simulate-dusty-csv": "933c9a0db40d8d96da7e77614caad1c7139e85d30e4d0af8190e9868fda76e59",
-    "simulate-dusty-json": "8cd7420864f5010d259a4cc485be9cf0eca0973f5c68e2e1aeb323d37be410fb",
+    "simulate-dusty-csv": "6438bdd86025292c00d5d49489dfa1b56b015c7ddc2535d1f77fe8e4b78f8853",
+    "simulate-dusty-json": "9aa7db568d14d8466efa49895bd1946269bcf5ce7749598db573b22531faaf04",
     "martingale-dusty-csv": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
     "martingale-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
     "tagged-dusty-csv": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
@@ -89,10 +92,10 @@ DIGESTS = {
     "limits-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
     "report-dusty-json": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
     "validate-dusty-json": "7505a13c6cc2b51aabbbc84bc8649232bf7d9127e8ab82a9b4e054e33b437a58",
-    "simulate-three_type-csv": "424323ab9cd3164ce8265292642753f71c696630756a4265e2bdc52e9310a078",
-    "simulate-three_type-json": "43bc5620b12ab993cd32a35873c1da904d059eb9d23c9b697b98c789dc22b0fd",
-    "martingale-three_type-csv": "bcc86b9e5db41e4194342d404b2198c02316d396b464a4d68fb0b0168840c7f7",
-    "martingale-three_type-json": "20f5d024f4e0ce76cce518bf835df3c18272d0980be22e7c21401278b05fc689",
+    "simulate-three_type-csv": "f8bfdfb09cd85b7d2bec4ec894e53a448a65d14a9a73b71152f5285e69d6bf29",
+    "simulate-three_type-json": "b78a9d521dd2e8e057356e662df069bbd7f6f40aa6c06bbfe669941e028a6c6b",
+    "martingale-three_type-csv": "743abe9ec5146e5fac172fd5584ddb4fb3e23d046904f66c67e28dffdc8e7040",
+    "martingale-three_type-json": "ec56ac3f8cc162370876aaa4e6dec41cc00cdfdf9c51432a54c491b59d614297",
     "tagged-three_type-csv": "f926cbb84f93e10b4f90092f3f0a9dce435d2ed49196050781c500a5be0eaf82",
     "tagged-three_type-json": "b7c675443a373f438f7c52eecdafbc5169e500bfd8a299d6a0d79c0790717590",
     "partition-three_type-csv": "bf247124a0e74c9d9cc4a99a95011b7f72ea0ae2019d35c87cc0e24cb3be1c15",
