@@ -235,8 +235,12 @@ def make_test_function(kind: str, center: float = 0.0, width: float = 1.0,
 
 # --- reference limits ---------------------------------------------------------
 
-def adaptive_simpson(func, a: float, b: float, tol: float = 1e-8,
-                     max_depth: int = 40) -> float:
+SIMPSON_TOL, SIMPSON_DEPTH = 1e-8, 40  # absolute error; deepest split
+GAUSSIAN_SPAN = 12.0  # the Gaussian reference integrates over +-12 sd
+LATTICE_RTOL, LATTICE_MAX_DENOMINATOR = 1e-9, 1000  # what counts as rational
+
+
+def adaptive_simpson(func, a: float, b: float) -> float:
     """Adaptive Simpson on [a, b]; NoConvergence at a non-finite estimate."""
 
     def simpson(x0, x2, f0, f1, f2):
@@ -250,7 +254,7 @@ def adaptive_simpson(func, a: float, b: float, tol: float = 1e-8,
         right = simpson(x1, x2, f1, frm, f2)
         if not math.isfinite(left + right):
             raise NoConvergence(f"non-finite integrand on [{x0}, {x2}]")
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= SIMPSON_DEPTH or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
                 + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
@@ -258,11 +262,10 @@ def adaptive_simpson(func, a: float, b: float, tol: float = 1e-8,
     mid = 0.5 * (a + b)
     fa, fm, fb = func(a), func(mid), func(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    return recurse(a, b, fa, fm, fb, whole, SIMPSON_TOL, 0)
 
 
-def gaussian_limit(f, u: np.ndarray, variance: float, *,
-                   span: float = 12.0) -> float:
+def gaussian_limit(f, u: np.ndarray, variance: float) -> float:
     """sum_j u_j E f(N(0, variance), j), the central-limit reference value."""
     if variance < 0:
         raise InvalidArgument(f"variance {variance} < 0")
@@ -276,25 +279,25 @@ def gaussian_limit(f, u: np.ndarray, variance: float, *,
             return (float(f(np.array([y]), np.array([j]))[0])
                     * math.exp(-y * y / (2.0 * variance)))
 
-        sigma = math.sqrt(variance)
-        total += (uj * adaptive_simpson(integrand, -span * sigma, span * sigma)
+        half = GAUSSIAN_SPAN * math.sqrt(variance)
+        total += (uj * adaptive_simpson(integrand, -half, half)
                   / math.sqrt(2.0 * math.pi * variance))
     return total
 
 
-def lattice_check(spec: FragmentationSpec, *, rtol: float = 1e-9,
-                  max_denominator: int = 1000) -> bool:
+def lattice_check(spec: FragmentationSpec) -> bool:
     """Heuristic lattice test on jump sizes; warns when they look lattice.
 
     Returns True (and warns) when every pairwise ratio of distinct log-mass
-    jump sizes is rational to within ``rtol``, so the sharp windowed-count
+    jump sizes is rational to within LATTICE_RTOL, so the sharp windowed-count
     asymptotics should not be trusted.
     """
     sizes = jump_sizes(spec)
     if not sizes:
         return False
     lattice = all(
-        abs(r - float(Fraction(r).limit_denominator(max_denominator))) <= rtol
+        abs(r - float(Fraction(r).limit_denominator(LATTICE_MAX_DENOMINATOR)))
+        <= LATTICE_RTOL
         for r in (s / sizes[0] for s in sizes[1:]))
     if lattice:
         warnings.warn("jump sizes are pairwise commensurable (lattice walk)",

@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--times", default=None,
                        help="comma list of snapshot times")
         p.add_argument("--mass-floor", dest="mass_floor", type=float,
-                       default=1e-9)
+                       default=simulate.DEFAULT_MASS_FLOOR)
         p.add_argument("--max-fragments", dest="max_fragments", type=int,
                        default=2_000_000)
 

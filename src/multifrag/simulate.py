@@ -37,8 +37,8 @@ recorder of one path's events.
 Each engine checks with ``errors.admit``, against the one byte budget
 MAX_RUN_BYTES, every size it knows before its first draw, and holds what
 grows during a run (a path's fragments or labels, one wave's rows) to a
-count that the budget gives once per run.  MAX_TAGGED_JUMPS and
-``max_fragments`` bound work, not memory.
+count that the budget gives once per run.  MAX_TAGGED_JUMPS and the
+``max_fragments`` of ``mass_ensemble`` bound work, not memory.
 """
 
 import heapq
@@ -240,8 +240,7 @@ class FragmentationPath:
 def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
                                 rng: np.random.Generator, *,
                                 initial_type: int = 1,
-                                mass_floor: float = DEFAULT_MASS_FLOOR,
-                                max_fragments: int | None = None
+                                mass_floor: float = DEFAULT_MASS_FLOOR
                                 ) -> FragmentationPath:
     """One path of the mass fragmentation started from (1, initial_type).
 
@@ -250,7 +249,8 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     Atoms with dust send the missing mass to the tracked dust pool at the
     dislocation instant.  Per event, one uniform picks the atom; then each
     child, in the atom's order, draws its exponential clock unless it is
-    frozen or its type never splits.
+    frozen or its type never splits.  A path that would hold more fragments
+    than the run budget gives raises ResourceCapExceeded.
     """
     spec.check_type(initial_type)
     _check_horizon(t_max)
@@ -260,18 +260,12 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     # the mean clock time of each type; 0.0 for a type that never splits
     scales = [1.0 / rate if rate > 0 else 0.0
               for rate in spec.type_rate.tolist()]
-    parts = [None] + [[atom.outcome.parts for atom in atoms]
-                      for atoms in spec.dislocation]
-    dusts = [None] + [[atom.outcome.dust for atom in atoms]
-                      for atoms in spec.dislocation]
-    cap = math.inf if max_fragments is None else max_fragments
-    too_many = (f"more than {max_fragments} fragments; raise mass_floor or "
-                f"shorten t_max")
-    if cap < 1:
-        raise ResourceCapExceeded(too_many)
+    type_atoms, atom_dust = spec.type_atoms.tolist(), spec.atom_dust.tolist()
+    first_row, n_rows = spec.atom_first_row.tolist(), spec.atom_rows.tolist()
+    row_mass, row_child = spec.row_mass.tolist(), spec.row_child.tolist()
     # 157 bytes per fragment, snapshot included: atoms of 2 to 4 parts, floor 0
     size = 157, "fragments of a path"
-    cap = min(cap, admit(1, *size))
+    most = admit(1, *size)
     masses, types = path._mass, path._type
     add_mass, add_type = masses.append, types.append
     add_time, add_parent = path._event_time.append, path._event_parent.append
@@ -296,16 +290,17 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
         add_parent(fid)
         add_atom(atom)
         add_first(first)
-        for child, (m, child_type) in enumerate(parts[typ][atom], first):
-            mass = parent_mass * m
+        atom += type_atoms[typ]  # its index in the compiled tables
+        start = first_row[atom]
+        for child, row in enumerate(range(start, start + n_rows[atom]), first):
+            mass, child_type = parent_mass * row_mass[row], row_child[row]
             add_mass(mass)
             add_type(child_type)
-            if child >= cap:
+            if child >= most:
                 admit(child + 1, *size)
-                raise ResourceCapExceeded(too_many)
             if not mass < mass_floor and scales[child_type]:
                 push(heap, (time + exponential(scales[child_type]), child))
-        dust = dusts[typ][atom]
+        dust = atom_dust[atom]
         if dust > 0.0:
             path._dust_times.append(time)
             path._dust_values.append(path._dust_values[-1] + parent_mass * dust)

@@ -13,10 +13,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def replica_stream(seed: int, replica: int) -> np.random.Generator:
-    """Stream for one replica, derived from (seed, replica) only."""
-    if not 0 <= seed <= _MASK64:
-        raise InvalidArgument("seed must fit in 64 bits")
-    if replica < 0:
-        raise InvalidArgument("replica index must be nonnegative")
+    """Stream for one replica, keyed by integers seed, replica in [0, 2^64)."""
+    for name, value in (("seed", seed), ("replica", replica)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value <= _MASK64):
+            raise InvalidArgument(f"{name} = {value!r} is not an integer in "
+                                  f"[0, 2^64)")
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

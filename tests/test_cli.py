@@ -737,8 +737,9 @@ def test_replica_streams_do_not_depend_on_replica_count(spec_b_file, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["simulate"],
-                                     ["martingale", "--theta", "0.5"]],
-                         ids=["simulate", "martingale"])
+                                     ["martingale", "--theta", "0.5"],
+                                     ["partition", "--n", "8"]],
+                         ids=["simulate", "martingale", "partition"])
 def test_snapshot_rows_do_not_depend_on_replica_count(command, spec_b_file,
                                                       tmp_path):
     tables = []

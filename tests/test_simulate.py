@@ -92,10 +92,12 @@ def test_mass_floor_freezes(spec_a):
     assert np.all(frozen_masses < 1e-3)
 
 
-def test_fragment_cap(spec_a):
-    with pytest.raises(ResourceCapExceeded):
+def test_fragment_cap(spec_a, monkeypatch):
+    # the run budget holds a path to its count of fragments
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 157 * 100)
+    with pytest.raises(ResourceCapExceeded, match="more than 100 fragments"):
         simulate_mass_fragmentation(spec_a, 20.0, replica_stream(4, 0),
-                                    mass_floor=0.0, max_fragments=100)
+                                    mass_floor=0.0)
 
 
 def test_dust_pool_tracks_improper_atoms():
@@ -635,7 +637,18 @@ def test_growth_past_the_byte_budget_is_refused(spec_c, monkeypatch):
     with pytest.raises(ResourceCapExceeded,
                        match=f"more than {2 ** 22 // 157} fragments"):
         simulate_mass_fragmentation(spec_c, 60.0, replica_stream(1, 0),
-                                    mass_floor=0.0, max_fragments=10 ** 9)
+                                    mass_floor=0.0)
+
+
+@pytest.mark.parametrize("seed, replica", [
+    (0, 2 ** 64), (2 ** 64, 0), (np.int64(-1), 0), (1.5, 0), (0, 1.0),
+    (np.float64(2.0), 0), ("1", 0), (None, 0)],
+    ids=["replica-2^64", "seed-2^64", "numpy-negative", "float-seed",
+         "float-replica", "numpy-float", "string", "none"])
+def test_replica_stream_refuses_keys_that_are_not_64_bit_integers(seed,
+                                                                  replica):
+    with pytest.raises(InvalidArgument, match="not an integer in"):
+        replica_stream(seed, replica)
 
 
 def test_mass_ensemble_respects_fragment_cap(spec_a):
@@ -834,21 +847,24 @@ def test_heap_record_matches_reference(spec, seed, t_max, mass_floor,
 @given(spec=st.one_of(random_specs, dusty_specs),
        seed=st.integers(0, 2 ** 32 - 1), cap=st.integers(0, 400))
 def test_fragment_cap_matches_reference(spec, seed, cap):
-    # the same fragment trips the cap: both raise, with the same draws taken
+    # a budget that admits cap fragments: the same fragment trips it in
+    # both, with the same draws taken
     rng_ref, rng = replica_stream(seed, 0), replica_stream(seed, 0)
     try:
         _reference_heap_run(spec, 3.0, rng_ref, 1, 0.01, cap)
         raised = False
     except ResourceCapExceeded:
         raised = True
-    if raised:
-        with pytest.raises(ResourceCapExceeded):
-            simulate_mass_fragmentation(spec, 3.0, rng, mass_floor=0.01,
-                                        max_fragments=cap)
-    else:
-        path = simulate_mass_fragmentation(spec, 3.0, rng, mass_floor=0.01,
-                                           max_fragments=cap)
-        assert path.n_fragments <= cap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "MAX_RUN_BYTES", 157 * cap)
+        if raised:
+            with pytest.raises(ResourceCapExceeded,
+                               match=f"more than {cap} fragments"):
+                simulate_mass_fragmentation(spec, 3.0, rng, mass_floor=0.01)
+        else:
+            path = simulate_mass_fragmentation(spec, 3.0, rng,
+                                               mass_floor=0.01)
+            assert path.n_fragments <= cap
     assert rng.random(4).tolist() == rng_ref.random(4).tolist()
 
 
