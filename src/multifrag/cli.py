@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -40,17 +41,19 @@ MAX_GRID_POINTS = 100_000
 # --- spec files ----------------------------------------------------------------
 
 def _number(value, where):
-    """Accept decimals or exact 'p/q' fraction strings."""
-    if isinstance(value, bool):
+    """Accept decimals or exact 'p/q' fraction strings inside the float range."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad fraction {value!r}") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ParseError(f"{where}: expected a number, got {value!r}")
+    # Fraction builds 10^exponent exactly, for minutes past seven digits;
+    # a float's decimal exponent has at most three
+    if isinstance(value, str) and re.search(r"[eE][-+]?0*[1-9]\d{4}", value):
+        raise ParseError(f"{where}: exponent of {value!r} out of range")
+    try:
+        return float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: bad fraction {value!r}") from exc
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {value!r} is outside the float range") from exc
 
 
 def _integer(value, where):
@@ -71,6 +74,8 @@ def parse_spec_file(path: str) -> measures.FragmentationSpec:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("types", "dislocation"):
@@ -114,8 +119,11 @@ def parse_spec_file(path: str) -> measures.FragmentationSpec:
                                              f"{where}.fragments[{pn}]")))
             parsed.append((rate, pairs))
         dislocation[i] = parsed
+    conservative = doc.get("conservative")
+    if not (conservative is None or isinstance(conservative, bool)):
+        raise ParseError(f"{path}: 'conservative' must be true or false")
     return measures.fragmentation_spec(
-        k, dislocation, erosion=erosion, conservative=doc.get("conservative"))
+        k, dislocation, erosion=erosion, conservative=conservative)
 
 
 def spec_to_document(spec: measures.FragmentationSpec) -> dict:
@@ -291,9 +299,19 @@ def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
     # 1272 bytes per cell: one-fragment snapshots written as JSON
     times, run = _snapshots(args, spec, _resolve_seed(args, spec), 1272)
+    # 511 bytes per row held and written: SPEC-C at floor 0 as JSON
+    size = 511, "rows held for writing"
+    most, held = admit(0, *size), 0
     cells = {}  # (replica, time index) -> its pieces in arrival order
-    run(lambda ti, rep, *piece:
-        cells.setdefault((rep[0], ti), []).append(piece))
+
+    def keep(ti, rep, *piece):
+        nonlocal held
+        held += rep.size
+        if held > most:
+            admit(held, *size)
+        cells.setdefault((rep[0], ti), []).append(piece)
+
+    run(keep)
     blocks = []
     for r, ti in sorted(cells):
         masses, types, frozen = map(np.concatenate, zip(*cells.pop((r, ti))))

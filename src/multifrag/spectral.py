@@ -14,18 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidArgument,
-    MaximumAtBracketEdge,
-    NoConvergence,
-    NotIrreducible,
-)
+from .errors import MaximumAtBracketEdge, NoConvergence, NotIrreducible
 from .measures import (
     FragmentationSpec,
     THETA_GUARD,
     _require_conservative,
     bernstein_matrices,
 )
+
+THETA_BAR_BRACKET = (0.0, 50.0)  # where theta_bar searches for the root of h
 
 
 @dataclass(frozen=True)
@@ -110,8 +107,7 @@ def perron_eigen(spec: FragmentationSpec, theta: float, *,
                         phi_d1=d1, phi_d2=d2)
 
 
-def theta_bar(spec: FragmentationSpec, bracket: tuple[float, float] = (0.0, 50.0)
-              ) -> tuple[float, float]:
+def theta_bar(spec: FragmentationSpec) -> tuple[float, float]:
     """Maximizer of g(theta) = phi(theta) / (theta + 1) and phi' there.
 
     g' has the sign of -h, where h = phi - (theta + 1) phi'.  phi is concave
@@ -119,13 +115,11 @@ def theta_bar(spec: FragmentationSpec, bracket: tuple[float, float] = (0.0, 50.0
     entrywise log-convex in theta; Kingman 1961), so h' = -(theta + 1) phi''
     >= 0 and h changes sign at most once, from - to +.  h <= 0 at
     lo + THETA_GUARD and h > 0 at the first of lo + 1, lo + 3, lo + 7, ...
-    (capped at hi) bracket the root; Newton steps on h', bisecting when a
-    step leaves the bracket, find it, and phi = (theta + 1) phi' is checked
-    to 1e-6.  The bracket must be finite with -1 < lo < hi.
+    (capped at hi), with (lo, hi) = THETA_BAR_BRACKET, bracket the root;
+    Newton steps on h', bisecting when a step leaves the bracket, find it,
+    and phi = (theta + 1) phi' is checked to 1e-6.
     """
-    lo, hi = bracket
-    if not (-1.0 < lo < hi and math.isfinite(hi)):
-        raise InvalidArgument(f"bracket {bracket!r} not finite -1 < lo < hi")
+    lo, hi = THETA_BAR_BRACKET
 
     def h(th):
         sd = perron_eigen(spec, th, with_derivatives=True)

@@ -98,13 +98,56 @@ def test_parse_missing_key(tmp_path):
     _one_type_doc(rate=True),
     {"types": 1, "dislocation": {"1": 5}},
     {"types": 1, "dislocation": {"1": [{"rate": 1.0, "fragments": 5}]}},
+    _one_type_doc(rate="1e400"),
+    _one_type_doc(rate=10 ** 400),
+    {"types": 1, "dislocation": {"1": [
+        {"rate": 1.0, "fragments": [["1e400", 1], [0.5, 1]]}]}},
+    {**_one_type_doc(), "erosion": ["1e400"]},
+    _one_type_doc(rate="1e99999999"),
+    {**_one_type_doc(), "conservative": "false"},
+    {**_one_type_doc(), "conservative": "yes"},
+    {**_one_type_doc(), "conservative": 1},
+    {**_one_type_doc(), "conservative": []},
+    _one_type_doc(rate="1/0"),
+    _one_type_doc(rate=None),
+    '{"types": 1,',
+    '{"types": 1, "dislocation": {"1": [{"rate": 1%s, "fragments": []}]}}'
+    % ("0" * 5000),
+    [_one_type_doc()],
+    {**_one_type_doc(), "types": 0},
+    {**_one_type_doc(), "erosion": [0, 0]},
+    {"types": 1, "dislocation": [[]]},
+    {"types": 1, "dislocation": {"one": []}},
+    {"types": 1, "dislocation": {"2": []}},
+    {"types": 1, "dislocation": {"1": [{"rate": 1.0, "fragments": [[0.5]]}]}},
 ], ids=["bool-types", "fractional-type", "string-type", "bool-rate",
-        "atoms-not-a-list", "fragments-not-a-list"])
+        "atoms-not-a-list", "fragments-not-a-list", "rate-string-overflow",
+        "rate-integer-overflow", "mass-overflow", "erosion-overflow",
+        "exponent-out-of-range", "conservative-string", "conservative-yes",
+        "conservative-integer", "conservative-list", "bad-fraction",
+        "null-rate", "invalid-json", "integer-past-digit-limit",
+        "top-level-list", "zero-types", "erosion-length",
+        "dislocation-not-an-object", "non-integer-key", "key-outside-types",
+        "fragment-not-a-pair"])
 def test_parse_rejects_loose_values(tmp_path, doc, capsys):
     path = tmp_path / "loose.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["validate", "--spec", str(path)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("conservative", [True, False, None])
+def test_parse_accepts_integral_floats_and_json_booleans(tmp_path, capsys,
+                                                         conservative):
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({**_one_type_doc(), "types": 1.0,
+                                "conservative": conservative}))
+    assert main(["validate", "--spec", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["types"] == 1
+    assert report["conservative"] is (conservative is not False)
 
 
 def test_parse_invalid_fragments(tmp_path):
@@ -182,6 +225,13 @@ def test_exit_code_missing_seed(spec_b_file, capsys, monkeypatch):
     assert main(["tagged", "--spec", spec_b_file, "--t", "1"]) == 2
 
 
+def test_exit_code_seed_env_not_an_integer(spec_b_file, capsys, monkeypatch):
+    monkeypatch.setenv("MULTIFRAG_SEED", "abc")
+    assert main(["tagged", "--spec", spec_b_file, "--t", "1"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParseError", "message": "MULTIFRAG_SEED='abc' is not an integer"}
+
+
 def test_seed_env_fallback(spec_b_file, tmp_path, monkeypatch):
     out = tmp_path / "t.csv"
     monkeypatch.setenv("MULTIFRAG_SEED", "7")
@@ -222,6 +272,23 @@ def test_partition_above_the_label_cap_exits_at_once(spec_b_file, tmp_path,
                  "--n", str(n), "--out", str(out)]) == 5
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == "ResourceCapExceeded"
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulate_holding_more_rows_than_the_budget_exits_before_writing(
+        spec_b_file, tmp_path, capsys, monkeypatch):
+    # a budget of 1000 rows; the cells, the k x k matrices and each wave fit
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 511 * 1000)
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--spec", spec_b_file, "--seed", "1",
+                 "--replicas", "5", "--times", "3,4,5,6", "--format", "json",
+                 "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "ResourceCapExceeded"
+    assert err["message"] == ("more than 1000 rows held for writing at 511 "
+                              "bytes each pass the run budget")
     assert captured.out == "" and not out.exists()
 
 

@@ -86,6 +86,26 @@ def test_dislocation_key_outside_types_rejected(key):
     assert err.value.codes() == ["TypeOutOfRange"]
 
 
+def _halves(typ=1):
+    return build_typed_mass_partition([(0.5, 1), (0.5, typ)])
+
+
+@pytest.mark.parametrize("build, code", [
+    (lambda: fragmentation_spec(0, {}), "TypeCountInvalid"),
+    (lambda: fragmentation_spec(2, {}, erosion=[0.0]),
+     "ErosionLengthMismatch"),
+    (lambda: FragmentationSpec(k=2, erosion=(0.0, 0.0), conservative=True,
+                               dislocation=((DislocationAtom(1.0, _halves()),),)),
+     "DislocationLengthMismatch"),
+    (lambda: fragmentation_spec(2, {1: [DislocationAtom(1.0, _halves(3))]}),
+     "TypeOutOfRange"),
+], ids=["no-types", "erosion-length", "dislocation-length", "atom-type-3"])
+def test_malformed_specs_rejected(build, code):
+    with pytest.raises(SpecValidationError) as err:
+        build()
+    assert code in err.value.codes()
+
+
 def test_invalid_spec_cannot_be_constructed():
     halves = build_typed_mass_partition([(0.5, 1), (0.5, 1)])
     with pytest.raises(SpecValidationError) as err:

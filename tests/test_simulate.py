@@ -452,6 +452,8 @@ def test_tagged_requires_conservative():
     dusty = fragmentation_spec(1, {1: [(1.0, [(0.5, 1), (0.3, 1)])]})
     with pytest.raises(NotConservative):
         simulate_tagged(dusty, 1.0, replica_stream(13, 0))
+    with pytest.raises(NotConservative):
+        tagged_ensemble(dusty, [1.0], 10, 13)
 
 
 def test_tagged_spec_a_is_scaled_poisson(spec_a):

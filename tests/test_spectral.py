@@ -21,7 +21,6 @@ from multifrag import (
 )
 from multifrag import spectral
 from multifrag.errors import (
-    InvalidArgument,
     MaximumAtBracketEdge,
     NoConvergence,
     NotConservative,
@@ -396,24 +395,19 @@ def test_theta_bar_fixed_point_residual(spec_a, spec_b, spec_c):
         assert abs(phi / (tb + 1.0) - d1) < 1e-6
 
 
-def test_theta_bar_bracket_edge(spec_a):
+def test_theta_bar_bracket_edge(spec_a, monkeypatch):
     # theta_bar = 1.42 lies above this bracket ...
+    monkeypatch.setattr(spectral, "THETA_BAR_BRACKET", (0.0, 1.0))
     with pytest.raises(MaximumAtBracketEdge):
-        theta_bar(spec_a, bracket=(0.0, 1.0))
+        theta_bar(spec_a)
     # ... and below this one, where h > 0 already at lo + THETA_GUARD
+    monkeypatch.setattr(spectral, "THETA_BAR_BRACKET", (2.0, 50.0))
     with pytest.raises(MaximumAtBracketEdge):
-        theta_bar(spec_a, bracket=(2.0, 50.0))
+        theta_bar(spec_a)
     # a bracket narrower than the guard holds no root
+    monkeypatch.setattr(spectral, "THETA_BAR_BRACKET", (0.0, THETA_GUARD / 2))
     with pytest.raises(MaximumAtBracketEdge):
-        theta_bar(spec_a, bracket=(0.0, THETA_GUARD / 2))
-
-
-@pytest.mark.parametrize("bracket", [
-    (math.nan, 50.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 50.0),
-    (-1.0, 50.0), (-2.0, 50.0), (1.0, 1.0), (2.0, 1.0)])
-def test_theta_bar_rejects_bad_brackets(spec_a, bracket):
-    with pytest.raises(InvalidArgument):
-        theta_bar(spec_a, bracket=bracket)
+        theta_bar(spec_a)
 
 
 def test_theta_bar_takes_few_perron_solves(spec_a, spec_b, spec_c,
@@ -431,10 +425,11 @@ def test_theta_bar_takes_few_perron_solves(spec_a, spec_b, spec_c,
         assert 3 <= len(solves) <= 20
 
 
-def _scan_theta_bar(spec, bracket=(0.0, 50.0)):
-    """Reference theta_bar: a 100-point scan of h for its sign change, then
-    the same Newton/bisection loop inside the scan cell."""
-    lo, hi = bracket
+def _scan_theta_bar(spec):
+    """Reference theta_bar: a 100-point scan of h over THETA_BAR_BRACKET for
+    its sign change, then the same Newton/bisection loop inside the scan
+    cell."""
+    lo, hi = spectral.THETA_BAR_BRACKET
 
     def h(th):
         sd = perron_eigen(spec, th, with_derivatives=True)
