@@ -297,8 +297,8 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
-    # 1272 bytes per cell: one-fragment snapshots written as JSON
-    times, run = _snapshots(args, spec, _resolve_seed(args, spec), 1272)
+    # 657 bytes per cell: one-fragment snapshots written as JSON
+    times, run = _snapshots(args, spec, _resolve_seed(args, spec), 657)
     # 511 bytes per row held and written: SPEC-C at floor 0 as JSON
     size = 511, "rows held for writing"
     most, held = admit(0, *size), 0
@@ -312,16 +312,22 @@ def cmd_simulate(args):
         cells.setdefault((rep[0], ti), []).append(piece)
 
     run(keep)
-    blocks = []
-    for r, ti in sorted(cells):
-        masses, types, frozen = map(np.concatenate, zip(*cells.pop((r, ti))))
-        order = np.argsort(-masses, kind="stable")
-        blocks.append((np.full(order.size, r), np.full(order.size, times[ti]),
-                       order, masses[order], types[order],
-                       frozen[order].astype(np.int64)))
-    _write_rows(args, ["replica", "time", "fragment_id", "mass", "type",
-                       "frozen_flag"],
-                [np.concatenate(col) for col in zip(*blocks)])
+    header = ["replica", "time", "fragment_id", "mass", "type", "frozen_flag"]
+    if not cells:  # every fragment turned to dust by the first time
+        return _write_rows(args, header, [])
+    keys = sorted(cells)
+    sizes = [sum(piece[0].size for piece in cells[key]) for key in keys]
+    masses, types, frozen = map(np.concatenate, zip(*(
+        piece for key in keys for piece in cells.pop(key))))
+    # rank each cell by descending mass; the sort is stable, so equal
+    # masses keep their arrival order
+    order = np.lexsort((-masses, np.repeat(np.arange(len(keys)), sizes)))
+    starts = np.cumsum(sizes) - sizes
+    _write_rows(args, header,
+                [np.repeat([r for r, _ in keys], sizes),
+                 np.repeat([times[ti] for _, ti in keys], sizes),
+                 order - np.repeat(starts, sizes), masses[order],
+                 types[order], frozen[order].astype(np.int64)])
 
 
 def cmd_partition(args):
@@ -338,7 +344,7 @@ def cmd_partition(args):
         for t in times:
             state = path.at(t)
             for idx, (elems, typ) in enumerate(state.blocks):
-                rows.append((r, t, idx, "|".join(str(e) for e in elems), typ))
+                rows.append((r, t, idx, "|".join(map(str, elems)), typ))
     _write_rows(args, ["replica", "time", "block", "elements", "type"],
                 list(zip(*rows)))
 

@@ -321,10 +321,12 @@ class PartitionPath:
 
     def at(self, t: float) -> TypedBlockPartition:
         _check_time(t, self.t_max)
-        # the alive blocks partition {1..n} canonically; sorting ranks them
+        # the alive blocks partition {1..n}, so their least elements differ
+        # and ranking by them alone gives the canonical order
         return TypedBlockPartition(self.n, tuple(sorted(
-            (elems, typ) for (elems, typ, birth), end
-            in zip(self._blocks, self._end) if birth <= t < end)))
+            ((elems, typ) for (elems, typ, birth), end
+             in zip(self._blocks, self._end) if birth <= t < end),
+            key=lambda block: block[0][0])))
 
 
 def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
@@ -343,6 +345,8 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     positive erosion rate raises PartitionWithErosion.
     """
     initial_type = int(spec.check_type(initial_type))
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidArgument(f"n = {n!r} is not an integer")
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
     _check_horizon(t_max)

@@ -163,3 +163,22 @@ def test_ldcount_counts_match_golden_digest(tmp_path):
     counts = "\n".join(",".join(line.split(",")[c] for c in cols)
                        for line in lines)
     assert hashlib.sha256(counts.encode()).hexdigest() == LDCOUNT_COUNTS_DIGEST
+
+
+# partition at the benchmark's shape (perfbench's partition workload), where
+# the paintbox cuts over a thousand blocks, most of a few labels; the cases
+# above use n = 12
+PARTITION_N1024_DIGEST = (
+    "4b281cb41e3079be1635bc177575e55fb0929d897a97b9867961878f9c732285")
+
+
+def test_partition_n1024_matches_golden_digest(tmp_path):
+    spec = tmp_path / "spec_c.json"
+    spec.write_text(json.dumps(SPEC_C_DOC))
+    out = tmp_path / "partition.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["partition", "--spec", str(spec), "--out", str(out),
+                     "--format", "csv", "--seed", "18", "--replicas", "1",
+                     "--n", "1024", "--t", "20", "--times", "5,10,15,20"])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PARTITION_N1024_DIGEST

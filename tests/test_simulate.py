@@ -231,6 +231,26 @@ def test_partition_needs_two_points(spec_b):
         simulate_partition_fragmentation(spec_b, 1, 1.0, replica_stream(10, 1))
 
 
+@pytest.mark.parametrize("sampler, n, error", [
+    ("paintbox", 2.5, InvalidArgument), ("paintbox", True, InvalidArgument),
+    ("paintbox", "3", InvalidArgument), ("paintbox", None, InvalidArgument),
+    ("paintbox", np.float64(3.0), InvalidArgument),
+    ("paintbox", 10 ** 13, ResourceCapExceeded),
+    ("partition", 2.5, InvalidArgument), ("partition", True, InvalidArgument),
+    ("partition", "3", InvalidArgument), ("partition", None, InvalidArgument)],
+    ids=["paintbox-float", "paintbox-bool", "paintbox-string", "paintbox-none",
+         "paintbox-numpy-float", "paintbox-10^13", "partition-float",
+         "partition-bool", "partition-string", "partition-none"])
+def test_bad_label_count_refused_before_any_draw(sampler, n, error, spec_b):
+    rng = replica_stream(10, 2)
+    with pytest.raises(error):
+        if sampler == "paintbox":
+            sample_paintbox(build_typed_mass_partition([(0.5, 1)]), n, rng)
+        else:
+            simulate_partition_fragmentation(spec_b, n, 1.0, rng)
+    assert rng.random() == replica_stream(10, 2).random()
+
+
 def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
     # every event of SPEC-B stores its block's labels again, so a cap of
     # three times n is reached after a few events
