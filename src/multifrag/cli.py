@@ -36,6 +36,8 @@ from .streams import replica_stream
 
 # a longer --theta-grid is refused before its list is built
 MAX_GRID_POINTS = 100_000
+# per written label, path included: singletons, one time, JSON, n = 16384
+PARTITION_LABEL_BYTES = 656
 
 
 # --- spec files ----------------------------------------------------------------
@@ -334,8 +336,8 @@ def cmd_partition(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
     times = _parse_times(args)
-    # 407 bytes per label: every label a singleton, written as JSON
-    admit(args.replicas * len(times) * args.n, 407, "labels written")
+    admit(args.replicas * len(times) * args.n, PARTITION_LABEL_BYTES,
+          "labels written")
     rows = []
     for r in range(args.replicas):
         path = simulate.simulate_partition_fragmentation(

@@ -9,13 +9,13 @@ sample the mismatched-type atoms that the Poisson picture discards.
 
 Three simulators share this law:
 
-* ``simulate_mass_fragmentation`` keeps a flat-column record: the mass and
-  type of each fragment, and the time, parent, atom and first child of each
-  event (children of one event take consecutive ids).  Lifetimes
-  [birth, end) and the ``events`` list are read off these columns, and
-  snapshots are masks over numpy copies of them, with each mass discounted
-  by e^(-ct) for the common erosion rate c, as in ``mass_ensemble`` (both
-  raise DistinctErosionCoefficients before any draw if the rates differ);
+* ``simulate_mass_fragmentation`` builds one set of numpy columns when its
+  run ends: the mass and type of each fragment, and the time, parent, atom
+  and first child of each event (children of one event take consecutive
+  ids).  Lifetimes, ``events`` and the dust are read off them, and
+  snapshots are masks over them, with each mass discounted by e^(-ct) for
+  the common erosion rate c, as in ``mass_ensemble`` (both raise
+  DistinctErosionCoefficients before any draw if the rates differ);
 * ``simulate_partition_fragmentation`` stores each block of {1..n} cut by a
   paintbox sample once, with its lifetime, and builds states on demand; it
   refuses a model with erosion (PartitionWithErosion);
@@ -70,6 +70,8 @@ from .streams import replica_stream
 DEFAULT_MASS_FLOOR = 1e-9
 # the most jumps a tagged run may expect: paths x horizon x the largest rate
 MAX_TAGGED_JUMPS = 10 ** 8
+# per fragment of a heap path and its first snapshot: halving, floor 0, ~50k
+PATH_FRAGMENT_BYTES = 158
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -153,88 +155,92 @@ class Snapshot:
 
 
 class FragmentationPath:
-    """Full event record of one mass-fragmentation run, in flat columns.
+    """Full event record of one mass-fragmentation run, in numpy columns.
 
     Fragment ids count up from 0, the initial fragment, and the children of
     one event take consecutive ids, so the record is two per-fragment
-    columns (mass, type) and four per-event columns (time, parent, atom
-    index, first child).  Birth and end times, parents, frozen flags and the
-    ``events`` list are read off these.  A fragment lives on [birth, end);
-    ``end`` is its split time, or +inf if it never split within the horizon
-    (frozen fragments included).  Snapshots are masks over numpy copies of
-    the columns, made once per path.
+    columns (``mass``, ``type``) and four per-event columns in time order
+    (``event_time``, ``event_parent``, ``event_atom`` within the parent's
+    type, ``event_first`` child).  Births, ``end``, parents, ``events`` and
+    the dust (the running sum of each event's parent mass times its atom's
+    dust share) are read off these on first use.  A fragment lives on
+    [birth, end); ``end`` is its split time, or +inf if it never split
+    within the horizon (frozen fragments included).  Snapshots are masks
+    over the columns.
     """
 
-    def __init__(self, erosion, t_max, mass_floor):
-        self.erosion = erosion
-        self.t_max = t_max
-        self.mass_floor = mass_floor
-        self._mass: list[float] = []
-        self._type: list[int] = []
-        self._event_time: list[float] = []
-        self._event_parent: list[int] = []
-        self._event_atom: list[int] = []
-        self._event_first: list[int] = []
-        self._dust_times: list[float] = [0.0]
-        self._dust_values: list[float] = [0.0]
-
-    # -- queries --------------------------------------------------------------
+    def __init__(self, spec: FragmentationSpec, t_max, mass_floor, mass, type,
+                 event_time, event_parent, event_atom, event_first):
+        self.erosion, self._spec = _erosion(spec), spec
+        self.t_max, self.mass_floor = t_max, mass_floor
+        self.mass, self.type = np.array(mass, float), np.array(type, np.int64)
+        self.event_time = np.array(event_time, float)
+        self.event_parent, self.event_atom, self.event_first = (
+            np.array(column, np.int64)
+            for column in (event_parent, event_atom, event_first))
 
     @property
     def n_fragments(self) -> int:
-        return len(self._mass)
+        return self.mass.size
 
     @cached_property
     def events(self) -> list[Event]:
         """The dislocations in time order, built when first read."""
-        stops = self._event_first[1:] + [self.n_fragments]
-        return [Event(time=time, parent=parent, atom_index=atom,
-                      children=tuple(range(first, stop)))
+        stops = self.event_first[1:].tolist() + [self.n_fragments]
+        return [Event(time, parent, atom, tuple(range(first, stop)))
                 for time, parent, atom, first, stop in zip(
-                    self._event_time, self._event_parent, self._event_atom,
-                    self._event_first, stops)]
+                    self.event_time.tolist(), self.event_parent.tolist(),
+                    self.event_atom.tolist(), self.event_first.tolist(),
+                    stops)]
+
+    def _by_fragment(self, initial, column) -> np.ndarray:
+        """Per fragment, the entry of ``column`` for the event that made it
+        (``initial`` for the initial fragment)."""
+        counts = np.diff(self.event_first, prepend=0, append=self.n_fragments)
+        return np.repeat(np.append(initial, column), counts)
+
+    birth = cached_property(
+        lambda self: self._by_fragment(0.0, self.event_time))
+    _parent = cached_property(
+        lambda self: self._by_fragment(-1, self.event_parent))
+
+    @cached_property
+    def end(self) -> np.ndarray:
+        end = np.full(self.n_fragments, math.inf)
+        end[self.event_parent] = self.event_time
+        return end
+
+    @cached_property
+    def _dust(self) -> np.ndarray:
+        """The dust just after each event."""
+        spec, parent = self._spec, self.event_parent
+        atom = spec.type_atoms[self.type[parent]] + self.event_atom
+        return np.cumsum(self.mass[parent] * spec.atom_dust[atom])
 
     def fragment(self, fid: int) -> Fragment:
         if not 0 <= fid < self.n_fragments:
             raise InvalidArgument(
                 f"fragment id {fid} outside 0..{self.n_fragments - 1}")
-        parent, birth = None, 0.0
-        if fid:
-            event = bisect_right(self._event_first, fid) - 1
-            parent, birth = self._event_parent[event], self._event_time[event]
-        return Fragment(id=fid, mass=self._mass[fid], type=self._type[fid],
-                        parent=parent, birth_time=birth)
+        parent = self._parent.item(fid)
+        return Fragment(fid, self.mass.item(fid), self.type.item(fid),
+                        None if parent < 0 else parent, self.birth.item(fid))
 
     def dust_at(self, t: float) -> float:
         _check_time(t, self.t_max)
-        idx = bisect_right(self._dust_times, t) - 1
-        return self._dust_values[idx]
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """Mass, type, birth and end of every fragment, as arrays."""
-        n = self.n_fragments
-        times = np.array(self._event_time, dtype=float)
-        first = np.array(self._event_first, dtype=np.int64)
-        birth = np.zeros(n)
-        birth[1:] = np.repeat(times, np.diff(first, append=n))
-        end = np.full(n, math.inf)
-        end[np.array(self._event_parent, dtype=np.int64)] = times
-        return (np.array(self._mass, dtype=float),
-                np.array(self._type, dtype=np.int64), birth, end)
+        idx = int(np.searchsorted(self.event_time, t, side="right"))
+        return self._dust.item(idx - 1) if idx else 0.0
 
     def snapshot(self, t: float) -> Snapshot:
         """The fragments alive at t, with masses discounted by e^(-ct) and
         the eroded mass in the dust; frozen flags use the masses before."""
         _check_time(t, self.t_max)
-        mass, typ, birth, end = self._columns
-        alive = (birth <= t) & (t < end)
-        masses = mass[alive]
+        alive = (self.birth <= t) & (t < self.end)
+        masses = self.mass[alive]
         frozen, dust = masses < self.mass_floor, self.dust_at(t)
         if self.erosion:
             masses = masses * math.exp(-self.erosion * t)
             dust = 1.0 - float(masses.sum())
-        return Snapshot(t, masses, typ[alive], frozen, dust)
+        return Snapshot(t, masses, self.type[alive], frozen, dust)
 
 
 def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
@@ -255,27 +261,22 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     spec.check_type(initial_type)
     _check_horizon(t_max)
     _check_mass_floor(mass_floor)
-    path = FragmentationPath(_erosion(spec), t_max, mass_floor)
+    _erosion(spec)
     cums = [cum.tolist() for cum in spec.atom_cum]
     # the mean clock time of each type; 0.0 for a type that never splits
     scales = [1.0 / rate if rate > 0 else 0.0
               for rate in spec.type_rate.tolist()]
-    type_atoms, atom_dust = spec.type_atoms.tolist(), spec.atom_dust.tolist()
+    type_atoms = spec.type_atoms.tolist()
     first_row, n_rows = spec.atom_first_row.tolist(), spec.atom_rows.tolist()
     row_mass, row_child = spec.row_mass.tolist(), spec.row_child.tolist()
-    # 157 bytes per fragment, snapshot included: atoms of 2 to 4 parts, floor 0
-    size = 157, "fragments of a path"
-    most = admit(1, *size)
-    masses, types = path._mass, path._type
-    add_mass, add_type = masses.append, types.append
-    add_time, add_parent = path._event_time.append, path._event_parent.append
-    add_atom, add_first = path._event_atom.append, path._event_first.append
+    most = admit(1, PATH_FRAGMENT_BYTES, "fragments of a path")
+    masses, types, *events = [1.0], [initial_type], [], [], [], []
+    add_mass, add_type, add_time, add_parent, add_atom, add_first = (
+        column.append for column in (masses, types, *events))
     exponential, uniform = rng.exponential, rng.random
     heap: list[tuple[float, int]] = []
     push, pop = heapq.heappush, heapq.heappop
 
-    add_mass(1.0)
-    add_type(initial_type)
     if not 1.0 < mass_floor and scales[initial_type]:
         push(heap, (exponential(scales[initial_type]), 0))
     while heap:
@@ -297,14 +298,11 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
             add_mass(mass)
             add_type(child_type)
             if child >= most:
-                admit(child + 1, *size)
+                admit(child + 1, PATH_FRAGMENT_BYTES, "fragments of a path")
             if not mass < mass_floor and scales[child_type]:
                 push(heap, (time + exponential(scales[child_type]), child))
-        dust = atom_dust[atom]
-        if dust > 0.0:
-            path._dust_times.append(time)
-            path._dust_values.append(path._dust_values[-1] + parent_mass * dust)
-    return path
+    del heap  # free the pending clocks first: the run peaks lower
+    return FragmentationPath(spec, t_max, mass_floor, masses, types, *events)
 
 
 class PartitionPath:

@@ -64,6 +64,19 @@ def test_empirical_measure_initial_state():
     assert em.locations[0].size == 0 and em.locations[2].size == 0
 
 
+@pytest.mark.parametrize("masses, types, k", [
+    ([0.5, 0.25, 0.25], [1, 3, 1], 3),
+    ([1.0], [2], 2),
+    ([], [], 1),
+], ids=["three-types", "top-type-only", "no-fragments"])
+def test_empirical_measure_without_k_uses_the_largest_type(masses, types, k):
+    em = empirical_measure(_snap(1.0, masses, types))
+    assert len(em.locations) == k and em.count() == len(masses)
+    for j, loc in enumerate(em.locations, start=1):
+        want = [-math.log(m) for m, i in zip(masses, types) if i == j]
+        assert loc.tolist() == pytest.approx(want)
+
+
 def test_empirical_measure_after_one_halving(spec_a):
     path = simulate_mass_fragmentation(spec_a, 5.0, replica_stream(40, 0))
     snap = path.snapshot(path.events[0].time)

@@ -12,7 +12,8 @@ classes, and those of simulate and martingale on spec_c, dusty and
 three_type when the two commands moved from the heap engine to the wave
 driver, ``mass_ensemble``; they pin the random streams and the output
 bytes.  A change that alters either on purpose updates them and says so in
-CHANGES.md.
+CHANGES.md.  No command reads the library's heap recorder,
+``simulate_mass_fragmentation``, so its paths have a digest of their own.
 """
 
 import contextlib
@@ -22,7 +23,9 @@ import json
 
 import pytest
 
-from multifrag.cli import main
+from multifrag import fragmentation_spec, simulate_mass_fragmentation
+from multifrag.cli import main, parse_spec_file
+from multifrag.streams import replica_stream
 
 SPEC_C_DOC = {"types": 2, "erosion": [0, 0], "conservative": True,
               "dislocation": {
@@ -182,3 +185,43 @@ def test_partition_n1024_matches_golden_digest(tmp_path):
                      "--n", "1024", "--t", "20", "--times", "5,10,15,20"])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PARTITION_N1024_DIGEST
+
+
+# heap paths on three models: SPEC-C with a floor, the dusty model, and
+# SPEC-B with a common erosion rate; taken before the path became one set of
+# numpy columns
+HEAP_PATH_DIGEST = (
+    "f14db115a75c75da598f6af9dec3227f8ca698cc87de7df37ef015f7dad50fed")
+
+
+def _heap_paths(tmp_path):
+    dusty = tmp_path / "dusty.json"
+    dusty.write_text(json.dumps(DUSTY_DOC))
+    spec_c = fragmentation_spec(2, {1: [(1.0, [(0.6, 1), (0.4, 2)])],
+                                    2: [(1.0, [(0.5, 2), (0.3, 1), (0.2, 1)])]})
+    eroding_b = fragmentation_spec(2, {1: [(1.0, [(0.5, 2), (0.5, 2)])],
+                                       2: [(1.0, [(0.5, 1), (0.5, 1)])]},
+                                   erosion=[0.7, 0.7])
+    for spec, t_max, mass_floor in ((spec_c, 8.0, 1e-4),
+                                    (parse_spec_file(str(dusty)), 4.0, 1e-9),
+                                    (eroding_b, 2.0, 1e-9)):
+        for seed in range(30, 33):
+            yield t_max, simulate_mass_fragmentation(
+                spec, t_max, replica_stream(seed, 0), mass_floor=mass_floor)
+
+
+def test_heap_paths_match_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    for t_max, path in _heap_paths(tmp_path):
+        grid = [t_max * q / 8 for q in range(9)]
+        h.update(repr((path.n_fragments, path.events)).encode())
+        h.update(repr([path.fragment(i) for i in range(path.n_fragments)])
+                 .encode())
+        h.update(repr([path.dust_at(t) for t in
+                       [event.time for event in path.events] + grid]).encode())
+        for t in grid:
+            snap = path.snapshot(t)
+            for column in (snap.masses, snap.types, snap.frozen):
+                h.update(column.dtype.str.encode() + column.tobytes())
+            h.update(repr(snap.dust).encode())
+    assert h.hexdigest() == HEAP_PATH_DIGEST

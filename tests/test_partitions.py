@@ -23,6 +23,17 @@ from multifrag.errors import (
 
 # --- typed mass-partitions -------------------------------------------------
 
+@pytest.mark.parametrize("pairs, size, total", [
+    ([], 0, 0.0),
+    ([(0.5, 1)], 1, 0.5),
+    ([(0.25, 2), (0.5, 1), (0.125, 1)], 3, 0.875),
+], ids=["all-dust", "one-part", "three-parts"])
+def test_mass_partition_length_and_total_mass(pairs, size, total):
+    x = build_typed_mass_partition(pairs)
+    assert len(x) == size
+    assert x.total_mass() == total and x.total_mass() + x.dust == 1.0
+
+
 def test_build_sorts_and_computes_dust():
     p = build_typed_mass_partition([(0.25, 2), (0.5, 1)])
     assert p.parts == ((0.5, 1), (0.25, 2))
@@ -90,6 +101,35 @@ def test_block_partition_validation():
         typed_block_partition(2, [((1,), 0)])
     with pytest.raises(GroundSizeMismatch):
         typed_block_partition(2, [((1, 2), 1), ((2,), 0)])
+
+
+@pytest.mark.parametrize("ground_size, blocks, want", [
+    (0, [], EmptyGroundSet),
+    (2, [((), 1), ((1, 2), 1)], (((1, 2), 1),)),
+    (2, [((1, 3), 1)], GroundSizeMismatch),
+    (2, [((0, 1), 1), ((2,), 0)], GroundSizeMismatch),
+], ids=["ground-size-0", "empty-block-skipped", "element-above-n",
+        "element-below-1"])
+def test_block_partition_edge_cases(ground_size, blocks, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            typed_block_partition(ground_size, blocks)
+    else:
+        p = typed_block_partition(ground_size, blocks)
+        assert p.blocks == want and len(p) == len(want)
+
+
+@pytest.mark.parametrize("typ", [0, 1, 3])
+def test_one_block_partition_of_one_element_is_a_type_zero_singleton(typ):
+    p = one_block_partition(1, typ)
+    assert p.ground_size == 1 and p.blocks == (((1,), 0),)
+
+
+@pytest.mark.parametrize("subset", [[0, 1], [2, 4], [-1]],
+                         ids=["zero", "above-n", "negative"])
+def test_restrict_refuses_a_subset_outside_the_ground_set(subset):
+    with pytest.raises(GroundSizeMismatch):
+        restrict(one_block_partition(3, 1), subset)
 
 
 def test_restrict_all_singletons_get_type_zero():

@@ -24,7 +24,7 @@ from multifrag import (
     typed_block_partition,
 )
 from multifrag import errors, simulate as simulate_module
-from multifrag.simulate import Event, Fragment
+from multifrag.simulate import Event, Fragment, FragmentationPath
 from multifrag.errors import (
     DistinctErosionCoefficients,
     GroundSizeTooSmall,
@@ -94,7 +94,8 @@ def test_mass_floor_freezes(spec_a):
 
 def test_fragment_cap(spec_a, monkeypatch):
     # the run budget holds a path to its count of fragments
-    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 157 * 100)
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES",
+                        simulate_module.PATH_FRAGMENT_BYTES * 100)
     with pytest.raises(ResourceCapExceeded, match="more than 100 fragments"):
         simulate_mass_fragmentation(spec_a, 20.0, replica_stream(4, 0),
                                     mass_floor=0.0)
@@ -108,6 +109,27 @@ def test_dust_pool_tracks_improper_atoms():
     assert snap.dust > 0
     assert snap.total_mass() + snap.dust == pytest.approx(1.0, abs=1e-9)
     assert path.dust_at(0.0) == 0.0
+
+
+def test_path_built_from_its_columns():
+    # fragment 0 splits at t = 1 into 1 and 2, fragment 1 at t = 2 into 3
+    # and 4; each split sheds a fifth of the parent's mass
+    dusty = fragmentation_spec(1, {1: [(1.0, [(0.5, 1), (0.3, 1)])]})
+    path = FragmentationPath(dusty, 3.0, 0.2, [1.0, 0.5, 0.3, 0.25, 0.15],
+                             [1] * 5, [1.0, 2.0], [0, 1], [0, 0], [1, 3])
+    assert path.n_fragments == 5
+    assert path.events == [Event(1.0, 0, 0, (1, 2)), Event(2.0, 1, 0, (3, 4))]
+    assert path.birth.tolist() == [0.0, 1.0, 1.0, 2.0, 2.0]
+    assert path.end.tolist() == [1.0, 2.0, math.inf, math.inf, math.inf]
+    assert path.fragment(0) == Fragment(0, 1.0, 1, None, 0.0)
+    assert path.fragment(4) == Fragment(4, 0.15, 1, 1, 2.0)
+    share = float(dusty.atom_dust[0])  # 1 - 0.5 - 0.3, rounded
+    assert [path.dust_at(t) for t in (0.0, 0.5, 1.0, 2.0, 3.0)] == [
+        0.0, 0.0, share, share + 0.5 * share, share + 0.5 * share]
+    snap = path.snapshot(2.5)
+    assert snap.masses.tolist() == [0.3, 0.25, 0.15]
+    assert snap.frozen.tolist() == [False, False, True]
+    assert snap.dust == share + 0.5 * share
 
 
 def test_fragment_ids_outside_the_run_rejected(spec_c):
@@ -656,8 +678,9 @@ def test_growth_past_the_byte_budget_is_refused(spec_c, monkeypatch):
     with pytest.raises(ResourceCapExceeded, match="in one wave"):
         mass_ensemble(spec_c, [60.0], 1, 1, _ignore, mass_floor=0.0,
                       max_fragments=10 ** 9)
+    most = 2 ** 22 // simulate_module.PATH_FRAGMENT_BYTES
     with pytest.raises(ResourceCapExceeded,
-                       match=f"more than {2 ** 22 // 157} fragments"):
+                       match=f"more than {most} fragments"):
         simulate_mass_fragmentation(spec_c, 60.0, replica_stream(1, 0),
                                     mass_floor=0.0)
 
@@ -850,8 +873,7 @@ def test_heap_record_matches_reference(spec, seed, t_max, mass_floor,
     assert path.n_fragments == len(frags)
     for i, (mass, typ, parent, birth, _) in enumerate(frags):
         assert path.fragment(i) == Fragment(i, mass, typ, parent, birth)
-    mass, typ, birth, end = path._columns
-    assert end.tolist() == [f[4] for f in frags]
+    assert path.end.tolist() == [f[4] for f in frags]
     assert path.events == events
     for time, value in dust:
         assert path.dust_at(time) == value
@@ -878,7 +900,8 @@ def test_fragment_cap_matches_reference(spec, seed, cap):
     except ResourceCapExceeded:
         raised = True
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(errors, "MAX_RUN_BYTES", 157 * cap)
+        patch.setattr(errors, "MAX_RUN_BYTES",
+                      simulate_module.PATH_FRAGMENT_BYTES * cap)
         if raised:
             with pytest.raises(ResourceCapExceeded,
                                match=f"more than {cap} fragments"):
