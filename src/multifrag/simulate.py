@@ -72,6 +72,11 @@ DEFAULT_MASS_FLOOR = 1e-9
 MAX_TAGGED_JUMPS = 10 ** 8
 # per fragment of a heap path and its first snapshot: halving, floor 0, ~50k
 PATH_FRAGMENT_BYTES = 158
+# per row of a mass_ensemble wave: halving, floor 0, ldcount's visitor, ~800k
+WAVE_ROW_BYTES = 102
+# per tagged_ensemble replica, beside 16 output bytes per time: SPEC-C to
+# t = 50, 200,000 replicas
+TAGGED_REPLICA_BYTES = 84
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -443,34 +448,57 @@ def _observation_times(times, n_replicas: int) -> np.ndarray:
     return np.sort(times)
 
 
-def _search_keys(cums) -> np.ndarray:
-    """The selection tables as one sorted key per entry: type + 1j * cum.
-    numpy orders complex numbers by real part, then imaginary part."""
-    return np.concatenate([i + 1j * cum for i, cum in enumerate(cums)])
+def _search_keys(cums):
+    """The selection tables laid end to end, each followed by +inf, with
+    the flat position of each type's first entry and of its +inf, and the
+    number of bisection passes that the longest table needs."""
+    sizes = np.array([cum.size for cum in cums])
+    flat = np.concatenate([np.append(cum, np.inf) for cum in cums])
+    first = np.cumsum(sizes + 1) - sizes - 1
+    return flat, first, first + sizes, int(sizes.max()).bit_length()
 
 
 def _draw(keys, types, u) -> np.ndarray:
     """Index of the entry that each uniform u selects in the selection table
     of its type, counted from the start of the whole table: the entries of
-    every lower type plus those of its own type with cum <= u."""
-    return np.searchsorted(keys, types + 1j * u, side="right")
+    every lower type plus those of its own type with cum <= u.  A branchless
+    bisection counts the latter in exact float comparisons; a probe past a
+    table reads its +inf.  In the flat tables type i starts i entries late,
+    one +inf for each lower type."""
+    flat, first, sentinel, passes = keys
+    pos = first.take(types)
+    if passes > 1:
+        end = sentinel.take(types)
+        for p in range(passes - 1, 0, -1):
+            step = 1 << p
+            probe = pos + (step - 1)
+            np.minimum(probe, end, out=probe)
+            pos += np.multiply(flat.take(probe) <= u, step, out=probe)
+    # the last step, 1, lands on pos itself, which never passes the +inf
+    pos += flat.take(pos) <= u
+    pos -= types
+    return pos
 
 
-def _waves(rng, cums, times, initial_type, columns, clock_rate, branch):
-    """Grow lanes born at time 0 in ``initial_type`` with the caller's
-    ``columns`` a wave (generation) at a time, yielding (time_index, type,
-    ...) for those alive at each time.  Each wave draws, in lane order, an
-    exponential clock per lane of positive ``clock_rate(type, ...)``, then a
-    uniform per lane that splits by the last time; ``branch(split_time,
-    entry of cums, type, ...)`` returns the next wave's (birth, type, ...)."""
+def _waves(rng, cums, times, lanes, clock_rate, branch):
+    """Grow ``lanes``, columns (type, ...) of lanes born at time 0, a wave
+    (generation) at a time, yielding (time_index, type, ...) for those alive
+    at each time.  Each wave draws, in lane order, an exponential clock per
+    lane of positive ``clock_rate(type, ...)``, then a uniform per lane that
+    splits by the last time; ``branch(split_time, entry of cums, type, ...)``
+    returns the next wave's (birth, type, ...)."""
     keys, horizon = _search_keys(cums), times[-1]
-    birth = np.zeros(columns[0].size)
-    lanes = (np.full(birth.size, initial_type, dtype=np.int64), *columns)
+    birth = np.zeros(lanes[0].size)
     while birth.size:
         rate = clock_rate(*lanes)
         can = rate > 0
-        split = np.full(birth.size, np.inf)
-        split[can] = birth[can] + rng.exponential(1.0, can.sum()) / rate[can]
+        if can.all():  # the same operations, without the masked gather
+            split = birth + rng.exponential(1.0, birth.size) / rate
+        else:
+            split = np.full(birth.size, np.inf)
+            split[can] = (birth[can]
+                          + rng.exponential(1.0, can.sum()) / rate[can])
+        del rate, can  # freed before the gathers below: the run peaks lower
         for ti, tau in enumerate(times):
             alive = np.flatnonzero((birth <= tau) & (split > tau))
             if alive.size:
@@ -478,8 +506,9 @@ def _waves(rng, cums, times, initial_type, columns, clock_rate, branch):
         go = np.flatnonzero(split <= horizon)
         if go.size < split.size:
             lanes, split = tuple(col[go] for col in lanes), split[go]
-        entry = _draw(keys, lanes[0], rng.random(go.size))
-        birth, *lanes = branch(split, entry, *lanes)
+        del go  # freed before the draw, likewise
+        birth, *lanes = branch(
+            split, _draw(keys, lanes[0], rng.random(split.size)), *lanes)
 
 
 def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
@@ -494,8 +523,8 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
     times = _observation_times(times, n_replicas)
-    # 16 output bytes per time and 112 bytes of lanes per replica: SPEC-C
-    admit(n_replicas, 16 * times.size + 112, "tagged replicas")
+    admit(n_replicas, 16 * times.size + TAGGED_REPLICA_BYTES,
+          "tagged replicas")
     jumps = n_replicas * times[-1] * float(spec.type_rate.max())
     if jumps > MAX_TAGGED_JUMPS:
         raise ResourceCapExceeded(f"{jumps:.3g} expected jumps, more than "
@@ -507,8 +536,9 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
         return split, spec.row_child[row], replica, s - spec.row_log_mass[row]
 
     for ti, j, replica, s in _waves(
-            replica_stream(seed, 0), spec.row_cum, times, initial_type,
-            (np.arange(n_replicas), np.zeros(n_replicas)),
+            replica_stream(seed, 0), spec.row_cum, times,
+            (np.full(n_replicas, initial_type, dtype=np.int64),
+             np.arange(n_replicas), np.zeros(n_replicas)),
             lambda j, *_: spec.type_rate[j], branch):
         out_j[ti, replica] = j
         out_s[ti, replica] = s
@@ -553,8 +583,7 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
             raise ResourceCapExceeded(
                 f"more than {max_fragments} fragments grown; raise "
                 f"mass_floor or shorten the horizon")
-        # 113 bytes per row: SPEC-A at floor 0, with ldcount's visitor
-        admit(n, 113, "fragments in one wave")
+        admit(n, WAVE_ROW_BYTES, "fragments in one wave")
 
     def rate(typ, rep, mass):
         # a frozen fragment never splits
@@ -578,8 +607,9 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
         grow(stop - start)
         for ti, typ, rep, mass in _waves(
                 replica_stream(seed, start), spec.atom_cum, times,
-                initial_type, (np.arange(start, stop, dtype=np.int64),
-                               np.ones(stop - start)), rate, branch):
+                (np.full(stop - start, initial_type, dtype=np.int64),
+                 np.arange(start, stop, dtype=np.int64),
+                 np.ones(stop - start)), rate, branch):
             frozen = mass < mass_floor
             if erosion:
                 mass = mass * math.exp(-erosion * times[ti])

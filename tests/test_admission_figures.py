@@ -12,9 +12,10 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from multifrag import cli, fragmentation_spec, simulate
+from multifrag import cli, errors, fragmentation_spec, simulate
 from multifrag.streams import replica_stream
 
 
@@ -53,8 +54,51 @@ def _heap_path_fragments(tmp_path):
     return run, simulate.PATH_FRAGMENT_BYTES
 
 
+def _tagged_replicas(tmp_path):
+    """tagged_ensemble on SPEC-C to t = 50 at five times, 200,000 replicas:
+    every lane jumps, so the first waves hold all replicas at once."""
+    spec = fragmentation_spec(2, {1: [(1.0, [(0.6, 1), (0.4, 2)])],
+                                  2: [(1.0, [(0.5, 2), (0.3, 1), (0.2, 1)])]})
+    times, n = [10.0, 20.0, 30.0, 40.0, 50.0], 200_000
+
+    def run():
+        simulate.tagged_ensemble(spec, times, n, 3)
+        return n
+
+    return run, 16 * len(times) + simulate.TAGGED_REPLICA_BYTES
+
+
+def _wave_rows(tmp_path):
+    """mass_ensemble on SPEC-A's halving at floor 0 to t = 16.5, one replica
+    (seed 3), with ldcount's visitor: a window count by np.add.at.  The
+    largest wave holds about 807k rows; at about 10k rows a wave's fixed
+    costs add some 10 bytes per row, so the scale is kept large."""
+    spec = fragmentation_spec(1, {1: [(1.0, [(0.5, 1), (0.5, 1)])]})
+    counts = np.zeros(1)
+    waves = []
+
+    def visit(ti, rep, mass, typ, frozen):
+        sel = np.flatnonzero((mass >= 1e-4) & (mass <= 1e-2))
+        np.add.at(counts, rep[sel] + typ[sel] - 1, 1.0)
+
+    def admit(items, item_bytes, what):
+        if what == "fragments in one wave":
+            waves.append(items)
+        return errors.admit(items, item_bytes, what)
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "admit", admit)
+            simulate.mass_ensemble(spec, [16.5], 1, 3, visit, mass_floor=0.0)
+        return max(waves)
+
+    return run, simulate.WAVE_ROW_BYTES
+
+
 SITES = {"partition-labels-written": _partition_written_labels,
-         "heap-path-fragments": _heap_path_fragments}
+         "heap-path-fragments": _heap_path_fragments,
+         "tagged-ensemble-replicas": _tagged_replicas,
+         "mass-ensemble-wave-rows": _wave_rows}
 
 
 @pytest.mark.parametrize("site", SITES)

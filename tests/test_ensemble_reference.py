@@ -276,10 +276,9 @@ def test_tagged_ensemble_takes_the_draws_of_its_reference(spec, times, n,
     assert len(draws[0]) == 1 and draws[0] == draws[1]
 
 
-@reference_settings
-@given(spec=models(conservative=False), seed=st.integers(0, 2 ** 63))
-def test_draw_matches_its_reference(spec, seed):
-    rng = np.random.default_rng(seed)
+def _check_draw(spec, rng):
+    """_draw against _reference_draw on the atom and the row tables of spec,
+    one type at a time and all drawable types mixed."""
     for cums, starts in ((spec.atom_cum, spec.type_atoms),
                          (spec.row_cum, spec.type_rows)):
         keys = simulate_module._search_keys(cums)
@@ -296,6 +295,30 @@ def test_draw_matches_its_reference(spec, seed):
         types = rng.choice(drawable, u.size)
         assert (simulate_module._draw(keys, types, u).tobytes()
                 == _reference_draw(cums, starts, types, u).tobytes())
+
+
+@reference_settings
+@given(spec=models(conservative=False), seed=st.integers(0, 2 ** 63))
+def test_draw_matches_its_reference(spec, seed):
+    _check_draw(spec, np.random.default_rng(seed))
+
+
+def test_draw_matches_its_reference_on_long_tables():
+    # 300 atoms (600 rows) in type 1 and 256 atoms in type 4 beside a
+    # one-entry table in type 2 and an empty one in type 3: nine bisection
+    # passes over the atoms and ten over the rows, most of them clamped to a
+    # shorter table's +inf
+    rng = np.random.default_rng(22)
+
+    def atoms(n):
+        return [(float(rate), [(0.5, 2), (0.5, 1)])
+                for rate in rng.uniform(0.1, 2.0, n)]
+
+    spec = fragmentation_spec(4, {1: atoms(300), 2: [(0.5, [(0.9, 1)])],
+                                  4: atoms(256)})
+    assert [cum.size for cum in spec.atom_cum] == [0, 300, 1, 0, 256]
+    assert [cum.size for cum in spec.row_cum] == [0, 600, 1, 0, 512]
+    _check_draw(spec, rng)
 
 
 def test_draw_counts_equal_entries_below():

@@ -123,8 +123,9 @@ def _cases():
 CASES = dict(_cases())
 
 
-def digest(case, tmp_path):
-    """sha256 over the exit code, the --out file and stdout of one case."""
+def digest(case, tmp_path, commands=COMMANDS):
+    """sha256 over the exit code, the --out file and stdout of one case,
+    run with the options ``commands`` gives its command."""
     command, model, fmt = case
     spec = tmp_path / f"{model}.json"
     spec.write_text(json.dumps(MODELS[model]))
@@ -134,7 +135,7 @@ def digest(case, tmp_path):
             contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--spec", str(spec), "--out", str(out)]
                     + ([] if command in JSON_ONLY else ["--format", fmt])
-                    + COMMANDS[command])
+                    + commands[command])
     h = hashlib.sha256(f"{code}\n".encode())
     h.update(out.read_bytes() if out.exists() else b"")
     h.update(printed.getvalue().encode())
@@ -185,6 +186,33 @@ def test_partition_n1024_matches_golden_digest(tmp_path):
                      "--n", "1024", "--t", "20", "--times", "5,10,15,20"])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PARTITION_N1024_DIGEST
+
+
+# limits and ldcount at the shapes of perfbench's ensemble workload, where
+# each wave draws for thousands to tens of thousands of lanes; the cases
+# above use 20 replicas.  Taken before the draw became a bisection over the
+# tables laid end to end.
+WORKLOAD_COMMANDS = {
+    "limits": ["--seed", "19", "--replicas", "50000", "--t", "50"],
+    "ldcount": ["--seed", "20", "--replicas", "600", "--t-grid",
+                "8,10,12,14,16", "--replica-chunk", "50"],
+}
+WORKLOAD_DIGESTS = {
+    "limits-spec_c-json":
+        "f6b7e288dbaa09b0fd6d234b0f39f989181c86d07373847329b1b584d49e2a9e",
+    "ldcount-spec_c-csv":
+        "8f80068a6146f6d1a08720c449758381778f0aac61ecea0fad2bbd1ec859bbbc",
+    "limits-three_type-json":
+        "b54284f0d1355e80ff6e77dd8c7ce4f2d9d736dacfa47edfe3de60dab592c095",
+    "ldcount-three_type-csv":
+        "bca09a060557bfb12a914b5252d8bf16f9baad1f993abe7d8fbeba86b354b851",
+}
+
+
+@pytest.mark.parametrize("case", list(WORKLOAD_DIGESTS))
+def test_workload_scale_output_matches_golden_digest(case, tmp_path):
+    assert (digest(CASES[case], tmp_path, WORKLOAD_COMMANDS)
+            == WORKLOAD_DIGESTS[case])
 
 
 # heap paths on three models: SPEC-C with a floor, the dusty model, and
