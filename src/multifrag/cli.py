@@ -18,7 +18,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -38,6 +37,10 @@ from .streams import replica_stream
 MAX_GRID_POINTS = 100_000
 # per written label, path included: singletons, one time, JSON, n = 16384
 PARTITION_LABEL_BYTES = 656
+# simulate, per snapshot cell: one-fragment cells as JSON, 2,000 x 10 times
+SIMULATE_CELL_BYTES = 657
+# simulate, per row held and written: SPEC-C at floor 0 as JSON, 149k rows
+SIMULATE_ROW_BYTES = 511
 
 
 # --- spec files ----------------------------------------------------------------
@@ -180,52 +183,89 @@ def _open_out(args):
             yield fh
 
 
-def _csv_cells(column):
-    """The text of one column's cells: a float as its plain repr, an int as
-    its decimal digits, a string as it is (no cell needs CSV quoting).  A
-    column is a float64 or int64 array, or a list whose cells are all floats
-    (numpy floats included), all ints or all strings; any other column
-    raises TypeError rather than print different text.
-
-    Numbers are formatted once per distinct value and their cells share the
-    text: simulated masses are products of a few atom masses and repeat
-    (on the two-type demo model about 2% of a ``simulate`` table's masses
-    are distinct), so this saves both time and memory."""
+def _distinct(column):
+    """One column as (values, index), cell i holding values[index[i]], so
+    that a number is formatted once however often it repeats (about 2% of
+    a ``simulate`` table's masses are distinct).  A column is a float64 or
+    int64 array, or a list whose cells are all floats (numpy floats
+    included), all ints or all strings; any other column raises TypeError
+    rather than print different text.  Strings come back as they are, with
+    index None."""
     if isinstance(column, np.ndarray):
         kinds = {column.dtype.type}
     else:
         kinds = set(map(type, column))
         if kinds <= {str}:
-            return column
+            return column, None
     if kinds <= {float, np.float64}:
-        column, fmt = np.asarray(column, dtype=np.float64), repr
-    elif kinds <= {int, np.int64}:
-        column, fmt = np.asarray(column, dtype=np.int64), str
-    else:
+        # keyed by bit pattern, so 0.0 and -0.0 keep their own text
+        bits = np.asarray(column, dtype=np.float64).view(np.int64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        return distinct.view(np.float64).tolist(), index
+    if not kinds <= {int, np.int64}:
         raise TypeError("cannot write a column of "
                         + ", ".join(sorted(k.__name__ for k in kinds)))
-    # floats are keyed by bit pattern, so 0.0 and -0.0 keep their own text
-    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-    text = list(map(fmt, distinct.view(column.dtype).tolist()))
-    return list(map(text.__getitem__, index.tolist()))
+    column = np.asarray(column, dtype=np.int64)
+    lo, hi = (int(column.min()), int(column.max())) if column.size else (0, 0)
+    if hi - lo < column.size:  # dense: index a range, with no sort
+        return range(lo, hi + 1), column - lo
+    distinct, index = np.unique(column, return_inverse=True)
+    return distinct.tolist(), index
 
 
 def _write_rows(args, header, columns):
-    """Write a table given as one column per header entry (see _csv_cells),
-    as CSV lines or as a JSON list of row objects."""
+    """Write a table given as one column per header entry (see _distinct),
+    as CSV lines or as the JSON list of row objects with sorted keys that
+    ``json.dump`` would write.  A cell's text carries its separators (CSV's
+    ',' or newline after it; JSON's '"key": ' before it, ', ' or '}, '
+    after it, in key order).  Numbers are formatted once per distinct
+    value, by ``str`` (CSV) or ``json.dumps`` (JSON), and neighbouring
+    number columns of few values share one text per pair; strings are
+    formatted a block at a time.  Each block of 4096 rows gathers its texts
+    into an object array and is written as one join."""
+    last = len(columns) - 1
+    if args.format == "json":
+        fmt, start, end = json.dumps, "[", "]\n"
+        order = sorted(range(len(columns)), key=header.__getitem__)
+        seps = [("{" * (p == 0) + json.dumps(header[j]) + ": ",
+                 "}, " if p == last else ", ") for p, j in enumerate(order)]
+    else:
+        fmt, start, end = str, ",".join(header) + "\n", ""
+        order = range(len(columns))
+        seps = [("", "\n" if p == last else ",") for p in order]
+
+    def text(values, before, after, strings=False):
+        # a list of numbers is formatted in one call: no number's text
+        # holds the ', ' between two list items
+        texts = (map(fmt, values) if strings
+                 else fmt(list(values))[1:-1].split(", "))
+        return np.array([before + s + after for s in texts], dtype=object)
+
+    cells = []
+    for j, sep in zip(order, seps):
+        values, index = _distinct(columns[j])
+        if index is not None:
+            values = text(values, *sep)
+            # one text per pair of values, so a row joins fewer texts
+            if cells and cells[-1][1] is not None \
+                    and len(cells[-1][0]) * len(values) <= 4096:
+                head, first, _ = cells.pop()
+                values, index = (np.add.outer(head, values).ravel(),
+                                 first * len(values) + index)
+        cells.append((values, index, sep))
+    n = min(map(len, columns), default=0)
     with _open_out(args) as fh:
-        if args.format == "json":
-            rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col
-                         for col in columns])
-            json.dump([dict(zip(header, row)) for row in rows], fh,
-                      sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            lines = map(",".join, zip(*map(_csv_cells, columns)))
-            # a few thousand lines per write keep memory flat on large tables
-            while block := list(islice(lines, 4096)):
-                fh.write("\n".join(block) + "\n")
+        fh.write(start)
+        for a in range(0, n, 4096):
+            b = min(a + 4096, n)
+            rows = np.empty((b - a, len(cells)), dtype=object)
+            for j, (values, index, sep) in enumerate(cells):
+                rows[:, j] = (text(values[a:b], *sep, strings=True)
+                              if index is None else values[index[a:b]])
+            chunk = "".join(rows.ravel().tolist())
+            # the JSON list's last row takes no ', ' after it
+            fh.write(chunk[:-2] if end and b == n else chunk)
+        fh.write(end)
 
 
 def _write_json(args, doc):
@@ -299,37 +339,47 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     spec = parse_spec_file(args.spec)
-    # 657 bytes per cell: one-fragment snapshots written as JSON
-    times, run = _snapshots(args, spec, _resolve_seed(args, spec), 657)
-    # 511 bytes per row held and written: SPEC-C at floor 0 as JSON
-    size = 511, "rows held for writing"
+    times, run = _snapshots(args, spec, _resolve_seed(args, spec),
+                            SIMULATE_CELL_BYTES)
+    size = SIMULATE_ROW_BYTES, "rows held for writing"
     most, held = admit(0, *size), 0
-    cells = {}  # (replica, time index) -> its pieces in arrival order
+    # each visit's rows with their cell, replica x times + time index, in
+    # arrival order, joined 256 visits at a time: a cell of one fragment
+    # then holds no numpy arrays of its own
+    pieces, joined = [], []
 
     def keep(ti, rep, *piece):
         nonlocal held
         held += rep.size
         if held > most:
             admit(held, *size)
-        cells.setdefault((rep[0], ti), []).append(piece)
+        pieces.append((rep * len(times) + ti, *piece))
+        if len(pieces) == 256:
+            joined.append([np.concatenate(col) for col in zip(*pieces)])
+            pieces.clear()
 
     run(keep)
     header = ["replica", "time", "fragment_id", "mass", "type", "frozen_flag"]
-    if not cells:  # every fragment turned to dust by the first time
+    if not held:  # every fragment turned to dust by the first time
         return _write_rows(args, header, [])
-    keys = sorted(cells)
-    sizes = [sum(piece[0].size for piece in cells[key]) for key in keys]
-    masses, types, frozen = map(np.concatenate, zip(*(
-        piece for key in keys for piece in cells.pop(key))))
+    columns = list(map(np.concatenate, zip(*joined, *pieces)))
+    joined.clear()
+    pieces.clear()
+    # each cell's rows together, in arrival order
+    by_cell = np.argsort(columns[0], kind="stable")
+    cell, masses, types, frozen = (col[by_cell] for col in columns)
+    del columns, by_cell
+    counts = np.bincount(cell)
+    first = np.flatnonzero(counts)
+    sizes = counts[first]
     # rank each cell by descending mass; the sort is stable, so equal
-    # masses keep their arrival order
-    order = np.lexsort((-masses, np.repeat(np.arange(len(keys)), sizes)))
-    starts = np.cumsum(sizes) - sizes
+    # masses keep their arrival order, the fragment_id
+    order = np.lexsort((-masses, cell))
     _write_rows(args, header,
-                [np.repeat([r for r, _ in keys], sizes),
-                 np.repeat([times[ti] for _, ti in keys], sizes),
-                 order - np.repeat(starts, sizes), masses[order],
-                 types[order], frozen[order].astype(np.int64)])
+                [np.repeat(first // len(times), sizes),
+                 np.repeat(np.array(times)[first % len(times)], sizes),
+                 order - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                 masses[order], types[order], frozen[order].astype(np.int64)])
 
 
 def cmd_partition(args):

@@ -95,10 +95,64 @@ def _wave_rows(tmp_path):
     return run, simulate.WAVE_ROW_BYTES
 
 
+SPEC_C = {"types": 2, "dislocation": {
+    "1": [{"rate": 1.0, "fragments": [["3/5", 1], ["2/5", 2]]}],
+    "2": [{"rate": 1.0, "fragments": [["1/2", 2], ["3/10", 1], ["1/5", 1]]}]}}
+
+
+def _simulate(tmp_path, options):
+    """A run of `simulate` on SPEC-C, as JSON, and the rows it wrote,
+    counted as they are handed to the writer."""
+    spec = tmp_path / "spec_c.json"
+    spec.write_text(json.dumps(SPEC_C))
+    write_rows, rows = cli._write_rows, []
+
+    def count(args, header, columns):
+        rows.append(len(columns[0]))
+        return write_rows(args, header, columns)
+
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stderr(io.StringIO()):
+        patch.setattr(cli, "_write_rows", count)
+        code = cli.main(["simulate", "--spec", str(spec), "--out",
+                         str(tmp_path / "out.json"), "--format", "json",
+                         "--seed", "1", "--mass-floor", "0"] + options)
+    assert code == 0
+    return rows[0]
+
+
+def _simulate_cells(tmp_path):
+    """`simulate` with one fragment in every cell, 2,000 replicas x 10
+    times before the first split: every row has a cell of its own.  The
+    same cells as 20,000 replicas x 1 time read about 288 bytes, and 277
+    at 200,000; the case keeps the faster shape."""
+    replicas, times = 2000, [f"{q}e-9" for q in range(1, 11)]
+
+    def run():
+        rows = _simulate(tmp_path, ["--replicas", str(replicas),
+                                    "--times", ",".join(times)])
+        assert rows == replicas * len(times)
+        return rows
+
+    return run, cli.SIMULATE_CELL_BYTES
+
+
+def _simulate_held_rows(tmp_path):
+    """`simulate` at floor 0, one replica, six times 6..7: 149,091 rows in
+    six cells, held until they are written."""
+    def run():
+        return _simulate(tmp_path, ["--replicas", "1",
+                                    "--times", "6,6.2,6.4,6.6,6.8,7"])
+
+    return run, cli.SIMULATE_ROW_BYTES
+
+
 SITES = {"partition-labels-written": _partition_written_labels,
          "heap-path-fragments": _heap_path_fragments,
          "tagged-ensemble-replicas": _tagged_replicas,
-         "mass-ensemble-wave-rows": _wave_rows}
+         "mass-ensemble-wave-rows": _wave_rows,
+         "simulate-cells": _simulate_cells,
+         "simulate-held-rows": _simulate_held_rows}
 
 
 @pytest.mark.parametrize("site", SITES)

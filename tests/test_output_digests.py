@@ -189,13 +189,19 @@ def test_partition_n1024_matches_golden_digest(tmp_path):
 
 
 # limits and ldcount at the shapes of perfbench's ensemble workload, where
-# each wave draws for thousands to tens of thousands of lanes; the cases
-# above use 20 replicas.  Taken before the draw became a bisection over the
-# tables laid end to end.
+# each wave draws for thousands to tens of thousands of lanes, and simulate
+# and tagged at the shapes of its population workload, tables of tens of
+# thousands of rows; the cases above use 20 replicas or a few dozen rows.
+# The limits and ldcount digests were taken before the draw became a
+# bisection over the tables laid end to end, the simulate and tagged ones
+# before CSV and JSON tables were written by one row writer.
 WORKLOAD_COMMANDS = {
     "limits": ["--seed", "19", "--replicas", "50000", "--t", "50"],
     "ldcount": ["--seed", "20", "--replicas", "600", "--t-grid",
                 "8,10,12,14,16", "--replica-chunk", "50"],
+    "simulate": ["--seed", "21", "--replicas", "1", "--times",
+                 "4,8,12,16,20", "--mass-floor", "1e-4"],
+    "tagged": ["--seed", "22", "--replicas", "200", "--t", "50"],
 }
 WORKLOAD_DIGESTS = {
     "limits-spec_c-json":
@@ -206,6 +212,14 @@ WORKLOAD_DIGESTS = {
         "b54284f0d1355e80ff6e77dd8c7ce4f2d9d736dacfa47edfe3de60dab592c095",
     "ldcount-three_type-csv":
         "bca09a060557bfb12a914b5252d8bf16f9baad1f993abe7d8fbeba86b354b851",
+    "simulate-spec_c-csv":
+        "4564901864f2b01d0abecd01b085fd02fd6bce7a39ef18050407c61842aaf569",
+    "simulate-spec_c-json":
+        "5d4cca9e64f85e0b89cf8561a305b1613844d1390b8c9fcdefc3383f5030ecad",
+    "tagged-spec_c-csv":
+        "7319c417fec8edcf52beb8ded55e8a22268696635dac4fd3b0711781a0012fb6",
+    "tagged-spec_c-json":
+        "fab58412437d6b938a35240746295eab314ce9fcabc3c923b54ab252e3ea006d",
 }
 
 
