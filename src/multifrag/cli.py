@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -41,6 +42,8 @@ PARTITION_LABEL_BYTES = 656
 SIMULATE_CELL_BYTES = 657
 # simulate, per row held and written: SPEC-C at floor 0 as JSON, 149k rows
 SIMULATE_ROW_BYTES = 511
+# martingale, per row: one-fragment snapshots as JSON, 2,000 x 10 times
+MARTINGALE_ROW_BYTES = 333
 
 
 # --- spec files ----------------------------------------------------------------
@@ -459,8 +462,8 @@ def cmd_martingale(args):
     spec = parse_spec_file(args.spec)
     seed = _resolve_seed(args, spec)
     thetas = _theta_values(args)
-    # 333 bytes per row: one-fragment snapshots written as JSON
-    times, run = _snapshots(args, spec, seed, 333 * len(thetas))
+    times, run = _snapshots(args, spec, seed,
+                            MARTINGALE_ROW_BYTES * len(thetas))
     sds = [spectral.perron_eigen(spec, th) for th in thetas]
     m = np.zeros((args.replicas, len(times), len(sds)))
 
@@ -534,7 +537,7 @@ def cmd_ldcount(args):
     simulate.mass_ensemble(spec, times, args.replicas, seed, visit,
                            initial_type=args.initial_type, mass_floor=floor,
                            replica_chunk=args.replica_chunk,
-                           max_fragments=args.max_fragments)
+                           max_fragments=args.max_fragments, drop_frozen=True)
     rows = []
     for ti, t in enumerate(times):
         for j in range(1, spec.k + 1):
@@ -703,12 +706,24 @@ def _report(exc: MultifragError) -> int:
     return exc.exit_code
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    """Write a warning as one line, `Category: message`: no source path or
+    line, so stderr does not move with the code or the install location."""
+    (sys.stderr if file is None else file).write(
+        f"{category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only the format changes: the warning filters still decide what shows
+    show, warnings.showwarning = warnings.showwarning, _show_warning
     try:
         args.func(args)
     except MultifragError as exc:
         return _report(exc)
+    finally:
+        warnings.showwarning = show
     return 0
 
 

@@ -549,7 +549,8 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
                   visit, *, initial_type: int = 1,
                   mass_floor: float = DEFAULT_MASS_FLOOR,
                   replica_chunk: int | None = None,
-                  max_fragments: int | None = None) -> np.ndarray:
+                  max_fragments: int | None = None,
+                  drop_frozen: bool = False) -> np.ndarray:
     """Run many mass-fragmentation replicas, streaming snapshots to ``visit``.
 
     Fragments are advanced in vectorized waves (all fragments of one
@@ -563,6 +564,11 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     ``max_fragments`` fragments over all replicas, or a wave past the run
     budget, raises ResourceCapExceeded before that wave is allocated.
     Returns each replica's dust from non-conservative atoms, before erosion.
+    With ``drop_frozen``, a fragment below ``mass_floor`` (the root
+    included) is dropped when it is made, so ``visit`` receives the same
+    arrays with every frozen row removed and no visit that would hold only
+    frozen rows; the draws, the dust and the fragments counted against the
+    cap and the budget, dropped ones included, do not change.
     """
     spec.check_type(initial_type)
     times = _observation_times(times, n_replicas)
@@ -596,15 +602,20 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
         lens = spec.atom_rows[atom]
         total = int(lens.sum())
         grow(total)
-        gather = np.arange(total) + np.repeat(
-            spec.atom_first_row[atom] - np.cumsum(lens) + lens, lens)
-        return (np.repeat(split, lens), spec.row_child[gather],
-                np.repeat(rep, lens),
-                np.repeat(mass, lens) * spec.row_mass[gather])
+        parent = np.repeat(np.arange(lens.size), lens)
+        row = np.arange(total) + (
+            spec.atom_first_row[atom] - np.cumsum(lens) + lens).take(parent)
+        mass = mass.take(parent) * spec.row_mass[row]
+        if drop_frozen:
+            keep = np.flatnonzero(mass >= mass_floor)
+            parent, row, mass = parent[keep], row[keep], mass[keep]
+        return split.take(parent), spec.row_child[row], rep.take(parent), mass
 
     for start in range(0, n_replicas, chunk):
         stop = min(start + chunk, n_replicas)
         grow(stop - start)
+        if drop_frozen and mass_floor > 1.0:
+            continue  # the roots are frozen
         for ti, typ, rep, mass in _waves(
                 replica_stream(seed, start), spec.atom_cum, times,
                 (np.full(stop - start, initial_type, dtype=np.int64),

@@ -100,6 +100,33 @@ SPEC_C = {"types": 2, "dislocation": {
     "2": [{"rate": 1.0, "fragments": [["1/2", 2], ["3/10", 1], ["1/5", 1]]}]}}
 
 
+def _ldcount_wave_rows(tmp_path):
+    """`ldcount` on SPEC-C, 300 replicas in one chunk, at its default
+    t-grid 8..16 and window, so its floor is about 2.7e-4: every fragment
+    below it is dropped when it is made, 59% of the 835k children of the
+    largest wave.  Each child made counts against the budget, dropped or
+    kept."""
+    spec = tmp_path / "spec_c.json"
+    spec.write_text(json.dumps(SPEC_C))
+    waves = []
+
+    def admit(items, item_bytes, what):
+        if what == "fragments in one wave":
+            waves.append(items)
+        return errors.admit(items, item_bytes, what)
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "admit", admit)
+            code = cli.main(["ldcount", "--spec", str(spec), "--out",
+                             str(tmp_path / "out.csv"), "--seed", "1",
+                             "--replicas", "300"])
+        assert code == 0
+        return max(waves)
+
+    return run, simulate.WAVE_ROW_BYTES
+
+
 def _simulate(tmp_path, options):
     """A run of `simulate` on SPEC-C, as JSON, and the rows it wrote,
     counted as they are handed to the writer."""
@@ -147,12 +174,35 @@ def _simulate_held_rows(tmp_path):
     return run, cli.SIMULATE_ROW_BYTES
 
 
+def _martingale_rows(tmp_path):
+    """`martingale` at one theta with one fragment in every cell, 2,000
+    replicas x 10 times before the first split, as JSON.  One time per
+    replica weighs more per row: 230 bytes at 20,000 replicas and 219 at
+    50,000; the case keeps the faster shape."""
+    spec = tmp_path / "spec_c.json"
+    spec.write_text(json.dumps(SPEC_C))
+    replicas, times = 2000, [f"{q}e-9" for q in range(1, 11)]
+
+    def run():
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["martingale", "--spec", str(spec), "--out",
+                             str(tmp_path / "out.json"), "--format", "json",
+                             "--seed", "1", "--replicas", str(replicas),
+                             "--times", ",".join(times), "--theta", "0.5"])
+        assert code == 0
+        return replicas * len(times)
+
+    return run, cli.MARTINGALE_ROW_BYTES
+
+
 SITES = {"partition-labels-written": _partition_written_labels,
          "heap-path-fragments": _heap_path_fragments,
          "tagged-ensemble-replicas": _tagged_replicas,
          "mass-ensemble-wave-rows": _wave_rows,
+         "ldcount-dropped-wave-rows": _ldcount_wave_rows,
          "simulate-cells": _simulate_cells,
-         "simulate-held-rows": _simulate_held_rows}
+         "simulate-held-rows": _simulate_held_rows,
+         "martingale-rows": _martingale_rows}
 
 
 @pytest.mark.parametrize("site", SITES)

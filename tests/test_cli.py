@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1075,6 +1078,22 @@ def test_ldcount_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,theta,type,mean_count,se,predicted_shape"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_ldcount_warns_on_a_lattice_model_in_one_line(tmp_path):
+    # the line names no source path or line, so it moves with neither
+    path, out = tmp_path / "a.json", tmp_path / "ld.csv"
+    path.write_text(json.dumps(_one_type_doc()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "multifrag.cli", "ldcount", "--spec", str(path),
+         "--seed", "3", "--replicas", "20", "--t-grid", "2,3", "--out",
+         str(out)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == ""
+    assert done.stderr == ("LatticeJumpSizes: jump sizes are pairwise "
+                           "commensurable (lattice walk)\n")
+    assert out.read_text().startswith("t,theta,type,")
 
 
 def test_ldcount_counts_every_window_visit_with_many_small_chunks(

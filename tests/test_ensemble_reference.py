@@ -6,6 +6,8 @@ full-length tagged state behind an ``active`` index array and draw with one
 ``searchsorted`` per type.  The drivers in ``multifrag.simulate`` must make
 the same draws in the same order and return the same bits: the same visit
 calls, array for array, the same dust vector and the same (J, S) arrays.
+With ``drop_frozen``, ``mass_ensemble`` must make the visits of its default
+run less their frozen rows, with the same dust and the same refusals.
 """
 
 import numpy as np
@@ -143,11 +145,12 @@ def _reference_mass_ensemble(spec, times, n_replicas, seed, visit, *,
 # --- random models --------------------------------------------------------------------
 
 @st.composite
-def models(draw, conservative):
+def models(draw, conservative, eroding=False):
     """1-6 types with 0-3 atoms each; type 1 always splits.  A conservative
     model has 2-4 children per atom summing to mass 1; otherwise atoms keep
     a fraction of the mass and may be pure dust (no children).  A type with
-    no atoms never splits, so tagged lanes that enter it are stuck."""
+    no atoms never splits, so tagged lanes that enter it are stuck.  An
+    eroding model gives every type one erosion coefficient, maybe 0."""
     k = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dislocation = {}
@@ -163,7 +166,8 @@ def models(draw, conservative):
             atoms.append((float(rng.uniform(0.1, 2.0)),
                           list(zip(masses, types))))
         dislocation[i] = atoms
-    return fragmentation_spec(k, dislocation)
+    erosion = [draw(st.sampled_from([0.0, 0.3]))] * k if eroding else None
+    return fragmentation_spec(k, dislocation, erosion)
 
 
 # unsorted, with 0 and duplicates among the draws
@@ -178,17 +182,41 @@ def _recorder(calls):
     return visit
 
 
+def _unfrozen(visit):
+    """visit, passed only the rows that are not frozen, and never empty."""
+    def unfrozen(ti, rep, mass, typ, frozen):
+        if not frozen.all():
+            visit(ti, rep[~frozen], mass[~frozen], typ[~frozen], frozen[~frozen])
+    return unfrozen
+
+
+def _run(driver, spec, times, n, seed, wrap=None, **kwargs):
+    """(visits, dust or the error raised) of one run of driver, its visits
+    passed through wrap if given."""
+    calls = []
+    visit = _recorder(calls)
+    try:
+        result = driver(spec, times, n, seed, wrap(visit) if wrap else visit,
+                        **kwargs)
+    except ResourceCapExceeded as exc:
+        result = str(exc)
+    return calls, result
+
+
 def _mass_runs(spec, times, n, seed, **kwargs):
     """(visits, dust or the error raised) of the driver and the reference."""
-    runs = []
-    for driver in (mass_ensemble, _reference_mass_ensemble):
-        calls = []
-        try:
-            result = driver(spec, times, n, seed, _recorder(calls), **kwargs)
-        except ResourceCapExceeded as exc:
-            result = str(exc)
-        runs.append((calls, result))
-    return runs
+    return [_run(driver, spec, times, n, seed, **kwargs)
+            for driver in (mass_ensemble, _reference_mass_ensemble)]
+
+
+def _drop_runs(spec, times, n, seed, **kwargs):
+    """(visits, dust bytes or the error raised) of mass_ensemble with its
+    frozen rows removed from each visit, and of the same run with
+    drop_frozen."""
+    runs = [_run(mass_ensemble, spec, times, n, seed, **mode, **kwargs)
+            for mode in (dict(wrap=_unfrozen), dict(drop_frozen=True))]
+    return [(calls, result if isinstance(result, str) else result.tobytes())
+            for calls, result in runs]
 
 
 # --- equality ------------------------------------------------------------------------
@@ -204,6 +232,22 @@ def test_mass_ensemble_matches_its_reference(spec, times, n, seed, chunk,
         spec, times, n, seed, mass_floor=floor, replica_chunk=chunk)
     assert calls == ref_calls
     assert dust.tobytes() == ref_dust.tobytes()
+
+
+@reference_settings
+@given(spec=models(conservative=False, eroding=True), times=observation_times,
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 63),
+       chunk=st.sampled_from([None, 1, 3, 5]),
+       floor=st.sampled_from([0.0, 0.05, 0.2, 1.0, 1.5]),
+       cap=st.none() | st.integers(1, 300))
+def test_dropping_frozen_fragments_removes_only_their_rows(spec, times, n,
+                                                           seed, chunk, floor,
+                                                           cap):
+    # the same visits with every frozen row removed, the same dust, and the
+    # same refusal at the same cap: dropped fragments are counted as grown
+    unfrozen, dropped = _drop_runs(spec, times, n, seed, mass_floor=floor,
+                                   replica_chunk=chunk, max_fragments=cap)
+    assert dropped == unfrozen
 
 
 @reference_settings
@@ -342,10 +386,14 @@ def test_mass_ensemble_fragment_cap_refuses_the_same_runs(floor):
     raised = set()
     for cap in [1, 2, 5, 9, 10, 11, 30, 100, 300, 1000, 3000]:
         for chunk in (None, 2, 5):
+            kwargs = dict(mass_floor=floor, replica_chunk=chunk,
+                          max_fragments=cap)
             (calls, result), (ref_calls, ref_result) = _mass_runs(
-                spec, [1.0, 3.0], 10, 4, mass_floor=floor, replica_chunk=chunk,
-                max_fragments=cap)
+                spec, [1.0, 3.0], 10, 4, **kwargs)
             assert calls == ref_calls
+            # dropped fragments count as grown: the same refusals
+            unfrozen, dropped = _drop_runs(spec, [1.0, 3.0], 10, 4, **kwargs)
+            assert dropped == unfrozen
             assert type(result) is type(ref_result)
             if isinstance(result, str):
                 assert result == ref_result
