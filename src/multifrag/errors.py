@@ -125,12 +125,12 @@ def admit(items, item_bytes: int, what: str) -> int:
     return most
 
 
-# --- warnings -----------------------------------------------------------------
+# --- warnings: a filter that turns them into errors gets exit 4 -------------
 
-class ThetaAboveCritical(UserWarning):
+class ThetaAboveCritical(MultifragError, UserWarning):
     """theta >= theta_bar: the additive martingale may degenerate."""
 
 
-class LatticeJumpSizes(UserWarning):
+class LatticeJumpSizes(MultifragError, UserWarning):
     """All log-mass jump sizes look commensurable; sharp count asymptotics
     assume a non-lattice walk."""

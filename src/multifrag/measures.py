@@ -32,6 +32,8 @@ from .partitions import MASS_TOL, TypedMassPartition, build_typed_mass_partition
 # where the child masses x^(1+theta) stay integrable
 THETA_LOWER = -1.0
 THETA_GUARD = 1e-9
+# per cell of the k x k matrices: k = 2000 with no atoms
+MATRIX_CELL_BYTES = 10
 
 _compiled = partial(field, init=False, repr=False, compare=False)
 
@@ -53,8 +55,8 @@ class FragmentationSpec:
 
     Construction runs validate_spec, so an invalid spec cannot exist, and
     compiles the atoms into the flat arrays declared below, which are not
-    compared, hashed or shown by repr.  Both selection tables end at exactly
-    1.0, so every uniform draw in [0, 1) selects an entry.
+    compared, hashed or shown by repr.  Each type's run of both selection
+    tables ends at exactly 1.0, so every uniform in [0, 1) selects in it.
     """
 
     k: int
@@ -67,19 +69,19 @@ class FragmentationSpec:
     row_mass: np.ndarray = _compiled()
     row_child: np.ndarray = _compiled()  # child type
     row_log_mass: np.ndarray = _compiled()
+    # running weight * mass over the type's rate: a tagged point's child
+    row_cum: np.ndarray = _compiled()
     # per atom, in the order of type and atom
     atom_weight: np.ndarray = _compiled()
     atom_dust: np.ndarray = _compiled()
     atom_first_row: np.ndarray = _compiled()
     atom_rows: np.ndarray = _compiled()  # number of child rows
+    # running weight over the type's rate: the atom a fragment splits by
+    atom_cum: np.ndarray = _compiled()
     # per type i, indexed by i; entry 0 stands for no type and is empty
     type_rate: np.ndarray = _compiled()  # total rate of nu_i
     type_atoms: np.ndarray = _compiled()  # atoms type_atoms[i]:type_atoms[i + 1]
     type_rows: np.ndarray = _compiled()  # rows type_rows[i]:type_rows[i + 1]
-    # cumulative atom weights over the rate: the atom a fragment splits by
-    atom_cum: tuple[np.ndarray, ...] = _compiled()
-    # cumulative weight * mass over the rate: the child a tagged point enters
-    row_cum: tuple[np.ndarray, ...] = _compiled()
     # a walk taking each atom's own term and then its children's: indices
     # into the atoms followed by the rows, and the k x k cell of each step
     walk: np.ndarray = _compiled()
@@ -117,8 +119,8 @@ class FragmentationSpec:
         row_cum = [np.cumsum(p) for p in np.split(tagged, self.type_rows[1:-1])]
         for cum in atom_cum + row_cum:
             cum[-1:] = 1.0
-        put("atom_cum", tuple(atom_cum))
-        put("row_cum", tuple(row_cum))
+        put("atom_cum", np.concatenate(atom_cum))
+        put("row_cum", np.concatenate(row_cum))
         n = len(atoms)
         put("walk", np.insert(np.arange(n, n + len(parts)), self.atom_first_row,
                               np.arange(n)))
@@ -150,8 +152,7 @@ def fragmentation_spec(k: int, dislocation, erosion=None,
     as accepted by build_typed_mass_partition.  ``conservative`` defaults to
     auto-detection (zero erosion and dust-free atoms).
     """
-    # 10 bytes per cell of the k x k matrices: k = 2000 with no atoms
-    admit(max(k, 0) ** 2, 10, "cells of k x k matrices")
+    admit(max(k, 0) ** 2, MATRIX_CELL_BYTES, "cells of k x k matrices")
     erosion = tuple(float(c) for c in (erosion if erosion is not None else [0.0] * k))
     bad = [("TypeOutOfRange", f"nu_{key!r}: dislocation type outside 1..{k}")
            for key in dislocation if key not in range(1, k + 1)]

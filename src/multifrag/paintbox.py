@@ -18,6 +18,9 @@ import numpy as np
 from .errors import InvalidArgument, admit
 from .partitions import TypedBlockPartition, TypedMassPartition
 
+# per label: each label alone on its own component, n = 44,000
+PAINTBOX_LABEL_BYTES = 368
+
 
 def sample_paintbox(x: TypedMassPartition, n: int,
                     rng: np.random.Generator) -> TypedBlockPartition:
@@ -27,8 +30,7 @@ def sample_paintbox(x: TypedMassPartition, n: int,
         raise InvalidArgument(f"n = {n!r} is not an integer")
     if n < 1:
         raise InvalidArgument("need n >= 1")
-    # 244 bytes per label: each label alone on its own component, n = 10^5
-    admit(n, 244, "paintbox labels")
+    admit(n, PAINTBOX_LABEL_BYTES, "paintbox labels")
     cum = list(accumulate(x.masses()))
     dust = len(x.parts)  # the component index of the dust
     groups: dict[int, list[int]] = {}

@@ -23,7 +23,8 @@ Three simulators share this law:
   -log mass) pair is the Markov additive pair the analysis is built on.
 
 The single-path engines draw atoms and children with ``bisect_right`` on
-Python lists of the compiled selection tables.
+a Python list of a compiled selection table, within the run of the
+fragment's type, so the index they draw is the compiled one.
 
 ``mass_ensemble`` and ``tagged_ensemble`` are vectorized replica drivers
 for statistics that need large populations or many replicas.  One wave
@@ -77,6 +78,10 @@ WAVE_ROW_BYTES = 102
 # per tagged_ensemble replica, beside 16 output bytes per time: SPEC-C to
 # t = 50, 200,000 replicas
 TAGGED_REPLICA_BYTES = 84
+# per expected row of tagged paths: `tagged`, demo model, JSON, t = 10^5
+TAGGED_ROW_BYTES = 424
+# per label a partition path stores: all singletons at once, n = 65536
+STORED_LABEL_BYTES = 156
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -101,9 +106,8 @@ def check_tagged_run(spec: FragmentationSpec, t_max: float, n_paths: int,
     _check_horizon(t_max)
     if not spec.conservative:
         raise NotConservative("tagged dynamics need a conservative spec")
-    # 320 bytes per row: `tagged` on the demo model
-    admit(n_paths, 320 * (1.0 + t_max * float(spec.type_rate.max())),
-          "tagged paths")
+    admit(n_paths, TAGGED_ROW_BYTES * (1.0 + t_max * float(
+        spec.type_rate.max())), "tagged paths")
 
 
 def _erosion(spec: FragmentationSpec) -> float:
@@ -165,13 +169,13 @@ class FragmentationPath:
     Fragment ids count up from 0, the initial fragment, and the children of
     one event take consecutive ids, so the record is two per-fragment
     columns (``mass``, ``type``) and four per-event columns in time order
-    (``event_time``, ``event_parent``, ``event_atom`` within the parent's
-    type, ``event_first`` child).  Births, ``end``, parents, ``events`` and
-    the dust (the running sum of each event's parent mass times its atom's
-    dust share) are read off these on first use.  A fragment lives on
-    [birth, end); ``end`` is its split time, or +inf if it never split
-    within the horizon (frozen fragments included).  Snapshots are masks
-    over the columns.
+    (``event_time``, ``event_parent``, ``event_atom`` as an index into the
+    spec's per-atom arrays, ``event_first`` child).  Births, ``end``,
+    parents, ``events`` and the dust (the running sum of each event's parent
+    mass times its atom's dust share) are read off these on first use.  A
+    fragment lives on [birth, end); ``end`` is its split time, or +inf if it
+    never split within the horizon (frozen fragments included).  Snapshots
+    are masks over the columns.
     """
 
     def __init__(self, spec: FragmentationSpec, t_max, mass_floor, mass, type,
@@ -192,11 +196,13 @@ class FragmentationPath:
     def events(self) -> list[Event]:
         """The dislocations in time order, built when first read."""
         stops = self.event_first[1:].tolist() + [self.n_fragments]
+        # each atom's index within its type's list
+        within = self.event_atom - self._spec.type_atoms[
+            self.type[self.event_parent]]
         return [Event(time, parent, atom, tuple(range(first, stop)))
                 for time, parent, atom, first, stop in zip(
                     self.event_time.tolist(), self.event_parent.tolist(),
-                    self.event_atom.tolist(), self.event_first.tolist(),
-                    stops)]
+                    within.tolist(), self.event_first.tolist(), stops)]
 
     def _by_fragment(self, initial, column) -> np.ndarray:
         """Per fragment, the entry of ``column`` for the event that made it
@@ -218,9 +224,8 @@ class FragmentationPath:
     @cached_property
     def _dust(self) -> np.ndarray:
         """The dust just after each event."""
-        spec, parent = self._spec, self.event_parent
-        atom = spec.type_atoms[self.type[parent]] + self.event_atom
-        return np.cumsum(self.mass[parent] * spec.atom_dust[atom])
+        return np.cumsum(self.mass[self.event_parent]
+                         * self._spec.atom_dust[self.event_atom])
 
     def fragment(self, fid: int) -> Fragment:
         if not 0 <= fid < self.n_fragments:
@@ -267,11 +272,10 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
     _check_horizon(t_max)
     _check_mass_floor(mass_floor)
     _erosion(spec)
-    cums = [cum.tolist() for cum in spec.atom_cum]
+    cum, type_atoms = spec.atom_cum.tolist(), spec.type_atoms.tolist()
     # the mean clock time of each type; 0.0 for a type that never splits
     scales = [1.0 / rate if rate > 0 else 0.0
               for rate in spec.type_rate.tolist()]
-    type_atoms = spec.type_atoms.tolist()
     first_row, n_rows = spec.atom_first_row.tolist(), spec.atom_rows.tolist()
     row_mass, row_child = spec.row_mass.tolist(), spec.row_child.tolist()
     most = admit(1, PATH_FRAGMENT_BYTES, "fragments of a path")
@@ -289,14 +293,14 @@ def simulate_mass_fragmentation(spec: FragmentationSpec, t_max: float,
         if time > t_max:
             break
         typ = types[fid]
-        atom = bisect_right(cums[typ], uniform())
+        atom = bisect_right(cum, uniform(), type_atoms[typ],
+                            type_atoms[typ + 1])
         parent_mass = masses[fid]
         first = len(masses)
         add_time(time)
         add_parent(fid)
         add_atom(atom)
         add_first(first)
-        atom += type_atoms[typ]  # its index in the compiled tables
         start = first_row[atom]
         for child, row in enumerate(range(start, start + n_rows[atom]), first):
             mass, child_type = parent_mass * row_mass[row], row_child[row]
@@ -357,11 +361,11 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
         raise PartitionWithErosion(
             f"erosion coefficients {list(spec.erosion)}: partition paths do "
             f"not simulate erosion")
-    # 146 bytes per label: every label a singleton block, n = 16384
-    size = 146, "labels stored over the path"
+    size = STORED_LABEL_BYTES, "labels stored over the path"
     most = admit(n, *size)
     rates = spec.type_rate.tolist()
-    cums = [cum.tolist() for cum in spec.atom_cum]
+    cum, type_atoms = spec.atom_cum.tolist(), spec.type_atoms.tolist()
+    atoms = [atom for row in spec.dislocation for atom in row]
     path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
     stored = n  # each event stores the labels of the block it splits again
@@ -383,9 +387,9 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
         stored += len(elems)
         if stored > most:
             admit(stored, *size)
-        atom = bisect_right(cums[typ], rng.random())
-        outcome = spec.dislocation[typ - 1][atom].outcome
-        local = sample_paintbox(outcome, len(elems), rng)
+        atom = bisect_right(cum, rng.random(), type_atoms[typ],
+                            type_atoms[typ + 1])
+        local = sample_paintbox(atoms[atom].outcome, len(elems), rng)
         for sub, sub_typ in local.blocks:
             add_block(tuple(elems[e - 1] for e in sub), sub_typ, time)
         path.times.append(time)
@@ -417,8 +421,7 @@ def simulate_tagged(spec: FragmentationSpec, t_max: float,
     """Path of the tagged pair (J, S) up to t_max; S_0 = 0."""
     check_tagged_run(spec, t_max, 1, initial_type=initial_type)
     rates = spec.type_rate.tolist()
-    cums = [cum.tolist() for cum in spec.row_cum]
-    first_row = spec.type_rows.tolist()
+    cum, type_rows = spec.row_cum.tolist(), spec.type_rows.tolist()
     log_mass, child = spec.row_log_mass.tolist(), spec.row_child.tolist()
     exponential, uniform = rng.exponential, rng.random
     t, j, s = 0.0, initial_type, 0.0
@@ -428,7 +431,7 @@ def simulate_tagged(spec: FragmentationSpec, t_max: float,
         t += exponential(1.0 / rates[j])
         if t > t_max:
             break
-        row = first_row[j] + bisect_right(cums[j], uniform())
+        row = bisect_right(cum, uniform(), type_rows[j], type_rows[j + 1])
         s -= log_mass[row]
         j = child[row]
         add_time(t)
@@ -448,48 +451,37 @@ def _observation_times(times, n_replicas: int) -> np.ndarray:
     return np.sort(times)
 
 
-def _search_keys(cums):
-    """The selection tables laid end to end, each followed by +inf, with
-    the flat position of each type's first entry and of its +inf, and the
-    number of bisection passes that the longest table needs."""
-    sizes = np.array([cum.size for cum in cums])
-    flat = np.concatenate([np.append(cum, np.inf) for cum in cums])
-    first = np.cumsum(sizes + 1) - sizes - 1
-    return flat, first, first + sizes, int(sizes.max()).bit_length()
-
-
-def _draw(keys, types, u) -> np.ndarray:
-    """Index of the entry that each uniform u selects in the selection table
-    of its type, counted from the start of the whole table: the entries of
-    every lower type plus those of its own type with cum <= u.  A branchless
-    bisection counts the latter in exact float comparisons; a probe past a
-    table reads its +inf.  In the flat tables type i starts i entries late,
-    one +inf for each lower type."""
-    flat, first, sentinel, passes = keys
-    pos = first.take(types)
+def _draw(cum, starts, types, u) -> np.ndarray:
+    """Index in ``cum`` of the entry that each uniform u selects in the run
+    cum[starts[t]:starts[t + 1]] of its type t: the run's first index plus
+    the number of its entries <= u.  A branchless bisection counts them in
+    exact float comparisons, every probe clamped to the run's last entry,
+    1.0, which no u in [0, 1) passes."""
+    pos = starts.take(types)
+    passes = int(np.diff(starts).max()).bit_length()
     if passes > 1:
-        end = sentinel.take(types)
+        last = (starts[1:] - 1).take(types)
         for p in range(passes - 1, 0, -1):
             step = 1 << p
             probe = pos + (step - 1)
-            np.minimum(probe, end, out=probe)
-            pos += np.multiply(flat.take(probe) <= u, step, out=probe)
-    # the last step, 1, lands on pos itself, which never passes the +inf
-    pos += flat.take(pos) <= u
-    pos -= types
+            np.minimum(probe, last, out=probe)
+            pos += np.multiply(cum.take(probe) <= u, step, out=probe)
+        np.minimum(pos, last, out=pos)  # a u of 1.0 may pass the run's end
+    pos += cum.take(pos) <= u
     return pos
 
 
-def _waves(rng, cums, times, lanes, clock_rate, branch):
+def _waves(rng, cum, starts, times, lanes, clock_rate, branch):
     """Grow ``lanes``, columns (type, ...) of lanes born at time 0, a wave
     (generation) at a time, yielding (time_index, type, ...) for those alive
     at each time.  Each wave draws, in lane order, an exponential clock per
     lane of positive ``clock_rate(type, ...)``, then a uniform per lane that
-    splits by the last time; ``branch(split_time, entry of cums, type, ...)``
-    returns the next wave's (birth, type, ...)."""
-    keys, horizon = _search_keys(cums), times[-1]
+    splits by the last time, which selects an entry of the selection table
+    ``cum`` in the run ``starts`` gives its type; ``branch(split_time, index
+    into cum, type, ...)`` returns the next wave's (birth, type, ...)."""
+    horizon = times[-1]
     birth = np.zeros(lanes[0].size)
-    while birth.size:
+    while True:
         rate = clock_rate(*lanes)
         can = rate > 0
         if can.all():  # the same operations, without the masked gather
@@ -504,11 +496,13 @@ def _waves(rng, cums, times, lanes, clock_rate, branch):
             if alive.size:
                 yield ti, *(col[alive] for col in lanes)
         go = np.flatnonzero(split <= horizon)
+        if not go.size:  # no lane splits: the run ends without a draw
+            return
         if go.size < split.size:
             lanes, split = tuple(col[go] for col in lanes), split[go]
         del go  # freed before the draw, likewise
-        birth, *lanes = branch(
-            split, _draw(keys, lanes[0], rng.random(split.size)), *lanes)
+        birth, *lanes = branch(split, _draw(
+            cum, starts, lanes[0], rng.random(split.size)), *lanes)
 
 
 def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
@@ -536,7 +530,7 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
         return split, spec.row_child[row], replica, s - spec.row_log_mass[row]
 
     for ti, j, replica, s in _waves(
-            replica_stream(seed, 0), spec.row_cum, times,
+            replica_stream(seed, 0), spec.row_cum, spec.type_rows, times,
             (np.full(n_replicas, initial_type, dtype=np.int64),
              np.arange(n_replicas), np.zeros(n_replicas)),
             lambda j, *_: spec.type_rate[j], branch):
@@ -617,10 +611,10 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
         if drop_frozen and mass_floor > 1.0:
             continue  # the roots are frozen
         for ti, typ, rep, mass in _waves(
-                replica_stream(seed, start), spec.atom_cum, times,
-                (np.full(stop - start, initial_type, dtype=np.int64),
-                 np.arange(start, stop, dtype=np.int64),
-                 np.ones(stop - start)), rate, branch):
+                replica_stream(seed, start), spec.atom_cum, spec.type_atoms,
+                times, (np.full(stop - start, initial_type, dtype=np.int64),
+                        np.arange(start, stop, dtype=np.int64),
+                        np.ones(stop - start)), rate, branch):
             frozen = mass < mass_floor
             if erosion:
                 mass = mass * math.exp(-erosion * times[ti])

@@ -11,12 +11,23 @@ import gc
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multifrag import cli, errors, fragmentation_spec, simulate
+from multifrag import (
+    cli,
+    errors,
+    fragmentation_spec,
+    measures,
+    paintbox,
+    simulate,
+)
+from multifrag.partitions import build_typed_mass_partition
 from multifrag.streams import replica_stream
+
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "two_type_model.json"
 
 
 def _partition_written_labels(tmp_path):
@@ -195,6 +206,73 @@ def _martingale_rows(tmp_path):
     return run, cli.MARTINGALE_ROW_BYTES
 
 
+def _partition_stored_labels(tmp_path):
+    """The partition engine on a one-type model whose only atom is all
+    dust, n = 65536: the first event cuts the ground set into singleton
+    blocks, so the path stores every label twice, once in a block of its
+    own."""
+    spec = fragmentation_spec(1, {1: [(1.0, [])]})
+    n = 65536
+
+    def run():
+        path = simulate.simulate_partition_fragmentation(
+            spec, n, 20.0, replica_stream(1, 0))
+        assert len(path.times) == 2
+        return 2 * n
+
+    return run, simulate.STORED_LABEL_BYTES
+
+
+def _paintbox_labels(tmp_path):
+    """sample_paintbox with each label alone on its own component: 44,000
+    components of equal mass and evenly spaced uniforms, one per component.
+    The figure peaks just after the sampler's dict of components grows,
+    past 43,690 entries."""
+    n = 44_000
+    x = build_typed_mass_partition([(0.999999 / n, 1)] * n)
+
+    class Evenly:
+        def random(self, size):
+            return (np.arange(size) + 0.5) / size
+
+    def run():
+        blocks = paintbox.sample_paintbox(x, n, Evenly()).blocks
+        assert len(blocks) == n
+        return n
+
+    return run, paintbox.PAINTBOX_LABEL_BYTES
+
+
+def _tagged_rows(tmp_path):
+    """`tagged` on the demo model as JSON, one replica to t = 10^5: a path
+    of about 100k rows, admitted as 1 + t rows at rate 1.  Shorter runs read
+    more per row (429 bytes at t = 5 * 10^4), and many short paths less
+    (333 at 2,000 replicas to t = 50)."""
+    t = 100_000
+
+    def run():
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["tagged", "--spec", str(DEMO), "--out",
+                             str(tmp_path / "out.json"), "--format", "json",
+                             "--seed", "1", "--replicas", "1", "--t", str(t)])
+        assert code == 0
+        return 1 + t
+
+    return run, simulate.TAGGED_ROW_BYTES
+
+
+def _spec_cells(tmp_path):
+    """fragmentation_spec with k = 2000 types and no atoms: the k x k cell
+    sums and the irreducibility search over them."""
+    k = 2000
+
+    def run():
+        assert not fragmentation_spec(k, {}).irreducible
+        return k * k
+
+    return run, measures.MATRIX_CELL_BYTES
+
+
 SITES = {"partition-labels-written": _partition_written_labels,
          "heap-path-fragments": _heap_path_fragments,
          "tagged-ensemble-replicas": _tagged_replicas,
@@ -202,7 +280,11 @@ SITES = {"partition-labels-written": _partition_written_labels,
          "ldcount-dropped-wave-rows": _ldcount_wave_rows,
          "simulate-cells": _simulate_cells,
          "simulate-held-rows": _simulate_held_rows,
-         "martingale-rows": _martingale_rows}
+         "martingale-rows": _martingale_rows,
+         "partition-labels-stored": _partition_stored_labels,
+         "paintbox-labels": _paintbox_labels,
+         "tagged-rows": _tagged_rows,
+         "spec-matrix-cells": _spec_cells}
 
 
 @pytest.mark.parametrize("site", SITES)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -1094,6 +1095,43 @@ def test_ldcount_warns_on_a_lattice_model_in_one_line(tmp_path):
     assert done.stderr == ("LatticeJumpSizes: jump sizes are pairwise "
                            "commensurable (lattice walk)\n")
     assert out.read_text().startswith("t,theta,type,")
+
+
+# the CSV of `ldcount` on SPEC-A, seed 1, 4 replicas, t-grid 2,3: showing
+# the lattice warning on stderr leaves it unchanged
+LATTICE_LDCOUNT_DIGEST = (
+    "4130467795012e24dfe45ea27aaddbe72bb16830a22a9ba734a972bebb2ae307")
+
+
+def _ldcount_on_spec_a(tmp_path, capsys, action):
+    """(exit code, stderr, CSV bytes or None) of `ldcount` on SPEC-A, run in
+    process under the one warning filter ``action``."""
+    path, out = tmp_path / "a.json", tmp_path / "ld.csv"
+    path.write_text(json.dumps(_one_type_doc()))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code = main(["ldcount", "--spec", str(path), "--seed", "1",
+                     "--replicas", "4", "--t-grid", "2,3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_lattice_warning_as_an_error_exits_4_with_one_json_line(tmp_path,
+                                                                capsys):
+    code, err, table = _ldcount_on_spec_a(tmp_path, capsys, "error")
+    assert code == 4 and table is None
+    assert err.count("\n") == 1 and json.loads(err) == {
+        "error": "LatticeJumpSizes",
+        "message": "jump sizes are pairwise commensurable (lattice walk)"}
+
+
+def test_lattice_warning_shown_leaves_the_table_alone(tmp_path, capsys):
+    code, err, table = _ldcount_on_spec_a(tmp_path, capsys, "default")
+    assert code == 0
+    assert err == ("LatticeJumpSizes: jump sizes are pairwise commensurable "
+                   "(lattice walk)\n")
+    assert hashlib.sha256(table).hexdigest() == LATTICE_LDCOUNT_DIGEST
 
 
 def test_ldcount_counts_every_window_visit_with_many_small_chunks(

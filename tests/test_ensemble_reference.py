@@ -10,6 +10,8 @@ With ``drop_frozen``, ``mass_ensemble`` must make the visits of its default
 run less their frozen rows, with the same dust and the same refusals.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,13 +37,14 @@ reference_settings = settings(max_examples=30, deadline=None, derandomize=True)
 
 # --- references: same draws, same order ---------------------------------------------
 
-def _reference_draw(cums, starts, types, u) -> np.ndarray:
-    """Index of the entry that each uniform u selects in the selection table
-    of its type, counted from the start of the whole table."""
+def _reference_draw(cum, starts, types, u) -> np.ndarray:
+    """Index in cum of the entry that each uniform u selects in the run
+    cum[starts[t]:starts[t + 1]] of its type t."""
     index = np.empty(len(types), dtype=np.int64)
-    for i in range(1, len(cums)):
+    for i in range(1, len(starts) - 1):
         lanes = types == i
-        index[lanes] = starts[i] + np.searchsorted(cums[i], u[lanes], side="right")
+        index[lanes] = starts[i] + np.searchsorted(
+            cum[starts[i]:starts[i + 1]], u[lanes], side="right")
     return index
 
 
@@ -323,22 +326,21 @@ def test_tagged_ensemble_takes_the_draws_of_its_reference(spec, times, n,
 def _check_draw(spec, rng):
     """_draw against _reference_draw on the atom and the row tables of spec,
     one type at a time and all drawable types mixed."""
-    for cums, starts in ((spec.atom_cum, spec.type_atoms),
-                         (spec.row_cum, spec.type_rows)):
-        keys = simulate_module._search_keys(cums)
-        drawable = [i for i in range(1, spec.k + 1) if cums[i].size]
+    for cum, starts in ((spec.atom_cum, spec.type_atoms),
+                        (spec.row_cum, spec.type_rows)):
+        drawable = [i for i in range(1, spec.k + 1)
+                    if starts[i + 1] > starts[i]]
         if not drawable:
             continue
         # every table entry, 0, the top uniform and random values
-        u = np.concatenate([np.concatenate(cums), [0.0, 1.0 - 2.0 ** -53],
-                            rng.random(50)])
+        u = np.concatenate([cum, [0.0, 1.0 - 2.0 ** -53], rng.random(50)])
         for typ in drawable:
             types = np.full(u.size, typ, dtype=np.int64)
-            assert (simulate_module._draw(keys, types, u).tobytes()
-                    == _reference_draw(cums, starts, types, u).tobytes())
+            assert (simulate_module._draw(cum, starts, types, u).tobytes()
+                    == _reference_draw(cum, starts, types, u).tobytes())
         types = rng.choice(drawable, u.size)
-        assert (simulate_module._draw(keys, types, u).tobytes()
-                == _reference_draw(cums, starts, types, u).tobytes())
+        assert (simulate_module._draw(cum, starts, types, u).tobytes()
+                == _reference_draw(cum, starts, types, u).tobytes())
 
 
 @reference_settings
@@ -351,7 +353,7 @@ def test_draw_matches_its_reference_on_long_tables():
     # 300 atoms (600 rows) in type 1 and 256 atoms in type 4 beside a
     # one-entry table in type 2 and an empty one in type 3: nine bisection
     # passes over the atoms and ten over the rows, most of them clamped to a
-    # shorter table's +inf
+    # shorter run's last entry
     rng = np.random.default_rng(22)
 
     def atoms(n):
@@ -360,8 +362,8 @@ def test_draw_matches_its_reference_on_long_tables():
 
     spec = fragmentation_spec(4, {1: atoms(300), 2: [(0.5, [(0.9, 1)])],
                                   4: atoms(256)})
-    assert [cum.size for cum in spec.atom_cum] == [0, 300, 1, 0, 256]
-    assert [cum.size for cum in spec.row_cum] == [0, 600, 1, 0, 512]
+    assert np.diff(spec.type_atoms).tolist() == [0, 300, 1, 0, 256]
+    assert np.diff(spec.type_rows).tolist() == [0, 600, 1, 0, 512]
     _check_draw(spec, rng)
 
 
@@ -370,12 +372,31 @@ def test_draw_counts_equal_entries_below():
     spec = fragmentation_spec(2, {
         1: [(1.0, [(0.6, 1), (0.4, 2)])],
         2: [(1.0, [(0.5, 2), (0.3, 1), (0.2, 1)])]})
-    keys = simulate_module._search_keys(spec.row_cum)
-    assert spec.row_cum[1][-1] == 1.0 and spec.row_cum[2][-1] == 1.0
+    cum, starts = spec.row_cum, spec.type_rows
+    one, two = cum[starts[1]:starts[2]], cum[starts[2]:starts[3]]
+    assert one[-1] == 1.0 and two[-1] == 1.0
     types = np.array([1, 1, 1, 2, 2, 2, 2])
-    u = np.array([0.0, spec.row_cum[1][0], 0.99, 0.0, spec.row_cum[2][0],
-                  spec.row_cum[2][1], 0.95])
-    assert simulate_module._draw(keys, types, u).tolist() == [0, 1, 1, 2, 3, 4, 4]
+    u = np.array([0.0, one[0], 0.99, 0.0, two[0], two[1], 0.95])
+    assert (simulate_module._draw(cum, starts, types, u).tolist()
+            == [0, 1, 1, 2, 3, 4, 4])
+
+
+@reference_settings
+@given(spec=st.booleans().flatmap(lambda conservative: models(conservative)))
+def test_scalar_and_vector_searches_draw_the_same_index(spec):
+    # the single-path engines' bisect_right within a type's run and the wave
+    # driver's _draw, on every entry (each final 1.0 included), 0 and the
+    # top uniform, for every type that has a table
+    for cum, starts in ((spec.atom_cum, spec.type_atoms),
+                        (spec.row_cum, spec.type_rows)):
+        values = cum.tolist()
+        u = np.array(values + [0.0, 1.0 - 2.0 ** -53])
+        for typ in range(1, spec.k + 1):
+            lo, hi = int(starts[typ]), int(starts[typ + 1])
+            if lo < hi:
+                types = np.full(u.size, typ, dtype=np.int64)
+                assert simulate_module._draw(cum, starts, types, u).tolist() == [
+                    bisect_right(values, x, lo, hi) for x in u.tolist()]
 
 
 @pytest.mark.parametrize("floor", [0.0, 0.05])

@@ -283,8 +283,9 @@ def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
         return sample_paintbox(*args)
 
     monkeypatch.setattr(simulate_module, "sample_paintbox", counting_paintbox)
-    # a budget of 24 labels, at 146 bytes each
-    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 24 * 146)
+    # a budget of 24 labels
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES",
+                        24 * simulate_module.STORED_LABEL_BYTES)
     path = simulate_partition_fragmentation(spec_b, 8, 0.01,
                                             replica_stream(10, 2))
     assert path.at(0.0) == one_block_partition(8, 1)
@@ -299,9 +300,9 @@ def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
 
 def test_tagged_jump_cap_refuses_before_any_draw(spec_c, monkeypatch):
     # SPEC-C splits at rate 1, so n paths to t expect at most n t jumps; a
-    # path keeps its rows, 1 + t of them at 320 bytes each, and the ensemble
-    # none
-    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 101 * 320)
+    # path keeps its rows, 1 + t of them, and the ensemble none
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES",
+                        101 * simulate_module.TAGGED_ROW_BYTES)
     monkeypatch.setattr(simulate_module, "MAX_TAGGED_JUMPS", 1000)
     with pytest.raises(ResourceCapExceeded, match="more than 0 tagged paths"):
         simulate_tagged(spec_c, 101.0, None)
@@ -382,7 +383,7 @@ dusty_specs = st.integers(0, 2 ** 32 - 1).map(
 def _reference_partition_run(spec, n, t_max, rng):
     """The partition engine as a full validated state after every event:
     the reference for the block-lifetime record.  Same draws, same order."""
-    rates, cums = spec.type_rate, spec.atom_cum
+    rates, cum, starts = spec.type_rate, spec.atom_cum, spec.type_atoms
     blocks, heap, uids = {}, [], itertools.count()
 
     def add_block(elems, typ, birth):
@@ -396,7 +397,8 @@ def _reference_partition_run(spec, n, t_max, rng):
     while heap and heap[0][0] <= t_max:
         time, uid = heapq.heappop(heap)
         elems, typ = blocks.pop(uid)
-        atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
+        atom_idx = int(np.searchsorted(cum[starts[typ]:starts[typ + 1]],
+                                       rng.random(), side="right"))
         local = sample_paintbox(spec.dislocation[typ - 1][atom_idx].outcome,
                                 len(elems), rng)
         for sub, sub_typ in local.blocks:
@@ -802,7 +804,7 @@ def _reference_heap_run(spec, t_max, rng, initial_type, mass_floor,
     dislocation: the reference for the flat-column record.  Same draws,
     same order.  Returns the fragments as [mass, type, parent, birth, end],
     the events and the dust pool as (time, cumulative dust) steps."""
-    rates, cums = spec.type_rate, spec.atom_cum
+    rates, cum, starts = spec.type_rate, spec.atom_cum, spec.type_atoms
     frags, events, dust, heap = [], [], [(0.0, 0.0)], []
 
     def spawn(mass, typ, parent, birth):
@@ -818,7 +820,8 @@ def _reference_heap_run(spec, t_max, rng, initial_type, mass_floor,
     while heap and heap[0][0] <= t_max:
         time, fid = heapq.heappop(heap)
         mass, typ = frags[fid][:2]
-        atom_idx = int(np.searchsorted(cums[typ], rng.random(), side="right"))
+        atom_idx = int(np.searchsorted(cum[starts[typ]:starts[typ + 1]],
+                                       rng.random(), side="right"))
         outcome = spec.dislocation[typ - 1][atom_idx].outcome
         frags[fid][4] = time
         children = tuple(spawn(mass * m, i, fid, time)
@@ -840,15 +843,15 @@ def _reference_snapshot(frags, dust, mass_floor, t):
 def _reference_tagged_run(spec, t_max, rng, initial_type):
     """The tagged engine drawing through np.searchsorted: the reference for
     the list-and-bisect engine.  Same draws, same order."""
-    rates, cum = spec.type_rate, spec.row_cum
+    rates, cum, starts = spec.type_rate, spec.row_cum, spec.type_rows
     t, j, s = 0.0, initial_type, 0.0
     times, js, ss = [0.0], [initial_type], [0.0]
     while rates[j] > 0:
         t += rng.exponential(1.0 / rates[j])
         if t > t_max:
             break
-        row = spec.type_rows[j] + int(
-            np.searchsorted(cum[j], rng.random(), side="right"))
+        row = starts[j] + int(np.searchsorted(cum[starts[j]:starts[j + 1]],
+                                              rng.random(), side="right"))
         s -= float(spec.row_log_mass[row])
         j = int(spec.row_child[row])
         times.append(t)
