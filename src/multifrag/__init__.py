@@ -41,7 +41,7 @@ from .measures import (
     map_characteristics,
     validate_spec,
 )
-from .paintbox import sample_paintbox, size_biased_tag
+from .paintbox import paint, sample_paintbox, size_biased_tag
 from .partitions import (
     TypedBlockPartition,
     TypedMassPartition,

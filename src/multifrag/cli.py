@@ -419,6 +419,7 @@ def cmd_tagged(args):
         times += path.times
         js += path.j_values
         ss += path.s_values
+    del path  # the last path's lists would outlive their copies
     _write_rows(args, ["replica", "time", "J", "S"], columns)
 
 

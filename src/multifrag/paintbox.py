@@ -1,13 +1,13 @@
 """Paintbox sampling: exchangeable typed partitions from a typed mass-partition.
 
-Each of n labels lands on component j with probability x_j and in the dust
-with the leftover probability.  Labels sharing a component form a block of
-that component's type; dust labels become singletons of type 0 (as does a
+Each label lands on component j with probability x_j and in the dust with
+the leftover probability.  Labels sharing a component form a block of that
+component's type; dust labels become singletons of type 0 (as does a
 component that caught a single label, by the singleton convention).
 
-Both samplers place a uniform with ``bisect_right`` on the running sums of
-the masses, in pure Python: the partition engine cuts mostly blocks of a
-few labels, where numpy's fixed cost per call would dominate.
+``paint`` applies it to any ascending labels, by ``bisect_right`` on the
+running sums of the masses in pure Python: the partition engine paints a
+block's own labels, mostly a few, where numpy's fixed cost per call dominates.
 """
 
 from bisect import bisect_right
@@ -22,6 +22,25 @@ from .partitions import TypedBlockPartition, TypedMassPartition
 PAINTBOX_LABEL_BYTES = 368
 
 
+def paint(cum, types, labels, uniforms) -> list:
+    """The (elements, type) blocks of ascending ``labels``, by least element:
+    ``labels[i]`` joins component ``j = bisect_right(cum, uniforms[i])``, of
+    type ``types[j]``, or the dust when ``j == len(types)``."""
+    dust = len(types)
+    groups: dict[int, list[int]] = {}
+    for elem, u in zip(labels, uniforms):
+        groups.setdefault(bisect_right(cum, u), []).append(elem)
+    blocks = []
+    while groups:  # popping frees each list as its block is made
+        lab, elems = groups.popitem()
+        if lab == dust:
+            blocks.extend(((e,), 0) for e in elems)
+        else:
+            blocks.append((tuple(elems), types[lab] if len(elems) >= 2 else 0))
+    # disjoint sorted blocks with singleton-rule types: canonical once ranked
+    return sorted(blocks)
+
+
 def sample_paintbox(x: TypedMassPartition, n: int,
                     rng: np.random.Generator) -> TypedBlockPartition:
     """Sample the paintbox based on x, restricted to {1..n}, from the n
@@ -31,21 +50,9 @@ def sample_paintbox(x: TypedMassPartition, n: int,
     if n < 1:
         raise InvalidArgument("need n >= 1")
     admit(n, PAINTBOX_LABEL_BYTES, "paintbox labels")
-    cum = list(accumulate(x.masses()))
-    dust = len(x.parts)  # the component index of the dust
-    groups: dict[int, list[int]] = {}
-    for elem, u in enumerate(rng.random(n).tolist(), start=1):
-        groups.setdefault(bisect_right(cum, u), []).append(elem)
-    blocks = []
-    for lab, elems in groups.items():
-        if lab == dust:
-            blocks.extend(((e,), 0) for e in elems)
-        else:
-            typ = x.parts[lab][1] if len(elems) >= 2 else 0
-            blocks.append((tuple(elems), typ))
-    # the blocks are disjoint, with sorted elements and singleton-rule types;
-    # ranked by least element they are canonical and need no checking
-    return TypedBlockPartition(int(n), tuple(sorted(blocks)))
+    return TypedBlockPartition(int(n), tuple(paint(
+        list(accumulate(x.masses())), x.types(), range(1, n + 1),
+        rng.random(n).tolist())))
 
 
 def size_biased_tag(x: TypedMassPartition,

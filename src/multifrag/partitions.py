@@ -59,6 +59,8 @@ def build_typed_mass_partition(pairs, k: int | None = None) -> TypedMassPartitio
     for mass, typ in pairs:
         mass = float(mass)
         typ = int(typ)
+        if mass != mass:
+            raise InvalidArgument(f"mass {mass} is not a number")
         if mass < 0.0:
             raise NegativeMass(f"mass {mass} < 0")
         if typ < 0 or (k is not None and typ > k):

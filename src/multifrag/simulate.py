@@ -16,9 +16,10 @@ Three simulators share this law:
   snapshots are masks over them, with each mass discounted by e^(-ct) for
   the common erosion rate c, as in ``mass_ensemble`` (both raise
   DistinctErosionCoefficients before any draw if the rates differ);
-* ``simulate_partition_fragmentation`` stores each block of {1..n} cut by a
-  paintbox sample once, with its lifetime, and builds states on demand; it
-  refuses a model with erosion (PartitionWithErosion);
+* ``simulate_partition_fragmentation`` cuts a block by ``paint`` on its own
+  labels, with its atom's table compiled once per run, and stores each block
+  once, with its lifetime; it builds states on demand and refuses a model
+  with erosion (PartitionWithErosion);
 * ``simulate_tagged`` follows only the tagged fragment, whose (type,
   -log mass) pair is the Markov additive pair the analysis is built on.
 
@@ -47,6 +48,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,7 +62,7 @@ from .errors import (
     admit,
 )
 from .measures import FragmentationSpec
-from .paintbox import sample_paintbox
+from .paintbox import PAINTBOX_LABEL_BYTES, paint
 from .partitions import (
     TypedBlockPartition,
     TypedMassPartition,
@@ -356,6 +358,7 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
         raise InvalidArgument(f"n = {n!r} is not an integer")
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
+    n = int(n)
     _check_horizon(t_max)
     if any(spec.erosion):
         raise PartitionWithErosion(
@@ -365,7 +368,8 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     most = admit(n, *size)
     rates = spec.type_rate.tolist()
     cum, type_atoms = spec.atom_cum.tolist(), spec.type_atoms.tolist()
-    atoms = [atom for row in spec.dislocation for atom in row]
+    tables = [(list(accumulate(atom.outcome.masses())), atom.outcome.types())
+              for row in spec.dislocation for atom in row]
     path = PartitionPath(n, t_max)
     heap: list[tuple[float, int]] = []
     stored = n  # each event stores the labels of the block it splits again
@@ -384,14 +388,15 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
             break
         path._end[uid] = time
         elems, typ, _ = path._blocks[uid]
-        stored += len(elems)
+        m = len(elems)
+        stored += m
         if stored > most:
             admit(stored, *size)
         atom = bisect_right(cum, rng.random(), type_atoms[typ],
                             type_atoms[typ + 1])
-        local = sample_paintbox(atoms[atom].outcome, len(elems), rng)
-        for sub, sub_typ in local.blocks:
-            add_block(tuple(elems[e - 1] for e in sub), sub_typ, time)
+        admit(m, PAINTBOX_LABEL_BYTES, "paintbox labels")
+        for sub, sub_typ in paint(*tables[atom], elems, rng.random(m).tolist()):
+            add_block(sub, sub_typ, time)
         path.times.append(time)
     return path
 

@@ -226,8 +226,7 @@ def _partition_stored_labels(tmp_path):
 def _paintbox_labels(tmp_path):
     """sample_paintbox with each label alone on its own component: 44,000
     components of equal mass and evenly spaced uniforms, one per component.
-    The figure peaks just after the sampler's dict of components grows,
-    past 43,690 entries."""
+    The sampler's dict of components has just grown past 43,690 entries."""
     n = 44_000
     x = build_typed_mass_partition([(0.999999 / n, 1)] * n)
 

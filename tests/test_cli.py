@@ -207,6 +207,21 @@ def test_validate_lists_atom_errors_with_the_checks_after_them(tmp_path,
     assert json.loads(err)["violations"] == doc["violations"]
 
 
+def test_validate_names_a_nan_mass_as_an_invalid_argument(tmp_path, capsys):
+    # json reads the bare NaN token; the atom fails where it is built
+    path, out = tmp_path / "nan.json", tmp_path / "v.json"
+    path.write_text('{"types": 1, "dislocation": {"1": [{"rate": 1.0, '
+                    '"fragments": [[NaN, 1], [0.3, 1]]}]}}')
+    assert main(["validate", "--spec", str(path), "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert [v["code"] for v in doc["violations"]] == ["InvalidArgument"]
+    assert doc["violations"][0]["message"] == (
+        "nu_1 atom 0: mass nan is not a number")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "SpecValidationError"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--no-such-option"],
      "unrecognized arguments: --no-such-option"),
@@ -269,7 +284,7 @@ def test_partition_above_the_label_cap_exits_at_once(spec_b_file, tmp_path,
     def no_work(*args, **kwargs):
         raise AssertionError("sampled a partition above the cap")
 
-    monkeypatch.setattr(simulate, "sample_paintbox", no_work)
+    monkeypatch.setattr(simulate, "paint", no_work)
     out = tmp_path / "p.csv"
     n = errors.MAX_RUN_BYTES  # every label takes more than a byte
     assert main(["partition", "--spec", spec_b_file, "--seed", "1",
@@ -329,7 +344,7 @@ def test_erosion_the_engines_cannot_simulate_exits_3(
     def no_work(*args, **kwargs):
         raise AssertionError("sampled a partition before the erosion check")
 
-    monkeypatch.setattr(simulate, "sample_paintbox", no_work)
+    monkeypatch.setattr(simulate, "paint", no_work)
     out = tmp_path / "out.csv"
     assert main([command, "--spec", _demo_with_erosion(tmp_path, erosion),
                  "--seed", "1", "--out", str(out)]) == 3

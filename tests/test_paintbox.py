@@ -1,4 +1,5 @@
 import itertools
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from multifrag import (
     asymptotic_frequencies,
     build_typed_mass_partition,
     mass_partition_distance,
+    paint,
     sample_paintbox,
     size_biased_tag,
     typed_block_partition,
@@ -49,6 +51,29 @@ def test_sampler_matches_per_label_reference(pairs, dust, n, seed):
     assert sample_paintbox(x, n, rng) == _reference_paintbox(x, n, ref_rng)
     # both took exactly n uniforms, so the streams go on alike
     assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(st.floats(1e-6, 1.0), st.integers(1, 3)),
+                      max_size=12),
+       dust=st.floats(0.01, 0.9),
+       labels=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=200,
+                       unique=True).map(sorted),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pairs=[(0.5, 2), (0.2, 1)], dust=0.3, labels=[4, 9, 10, 17, 300],
+         seed=1)
+def test_paint_on_any_labels_is_the_sample_relabelled(pairs, dust, labels,
+                                                      seed):
+    # the partition engine paints a block's own ascending labels; that is
+    # sample_paintbox on 1..m sent through the labels, from the same draws
+    total = sum(m for m, _ in pairs)
+    x = build_typed_mass_partition(
+        [(m * (1.0 - dust) / total, i) for m, i in pairs])
+    blocks = paint(list(accumulate(x.masses())), x.types(), labels,
+                   replica_stream(seed, 0).random(len(labels)).tolist())
+    sample = sample_paintbox(x, len(labels), replica_stream(seed, 0))
+    assert blocks == [(tuple(labels[e - 1] for e in elems), typ)
+                      for elems, typ in sample.blocks]
 
 
 def test_degenerate_single_component():

@@ -14,6 +14,7 @@ from multifrag import (
 from multifrag.errors import (
     EmptyGroundSet,
     GroundSizeMismatch,
+    InvalidArgument,
     MassSumExceedsOne,
     NegativeMass,
     TypeOutOfRange,
@@ -67,6 +68,10 @@ def test_build_rejects_bad_input():
         build_typed_mass_partition([(0.7, 1), (0.7, 1)])
     with pytest.raises(TypeOutOfRange):
         build_typed_mass_partition([(0.5, 3)], k=2)
+    # a NaN running sum would send every paintbox label to the dust
+    for pairs in [(float("nan"), 1)], [(0.3, 1), (np.float64("nan"), 2)]:
+        with pytest.raises(InvalidArgument, match="mass nan is not a number"):
+            build_typed_mass_partition(pairs)
 
 
 def test_ranking_idempotent():

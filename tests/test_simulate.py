@@ -15,6 +15,7 @@ from multifrag import (
     fragmentation_spec,
     mass_ensemble,
     one_block_partition,
+    paint,
     restrict,
     sample_paintbox,
     simulate_mass_fragmentation,
@@ -273,16 +274,25 @@ def test_bad_label_count_refused_before_any_draw(sampler, n, error, spec_b):
     assert rng.random() == replica_stream(10, 2).random()
 
 
+def test_partition_path_takes_a_numpy_integer_n_as_a_plain_int(spec_b):
+    path = simulate_partition_fragmentation(spec_b, np.int64(3), 2.0,
+                                            replica_stream(10, 3))
+    same = simulate_partition_fragmentation(spec_b, 3, 2.0,
+                                            replica_stream(10, 3))
+    assert type(path.n) is int and type(path.at(2.0).ground_size) is int
+    assert path.at(2.0) == same.at(2.0) and path.times == same.times
+
+
 def test_partition_label_cap_fires_mid_run(spec_b, monkeypatch):
     # every event of SPEC-B stores its block's labels again, so a cap of
     # three times n is reached after a few events
     samples = []
 
-    def counting_paintbox(*args):
+    def counting_paint(*args):
         samples.append(args)
-        return sample_paintbox(*args)
+        return paint(*args)
 
-    monkeypatch.setattr(simulate_module, "sample_paintbox", counting_paintbox)
+    monkeypatch.setattr(simulate_module, "paint", counting_paint)
     # a budget of 24 labels
     monkeypatch.setattr(errors, "MAX_RUN_BYTES",
                         24 * simulate_module.STORED_LABEL_BYTES)
@@ -660,7 +670,7 @@ def test_runs_past_the_byte_budget_are_refused(spec_c, monkeypatch):
         raise AssertionError("drew before the run was admitted")
 
     monkeypatch.setattr(simulate_module, "replica_stream", no_work)
-    monkeypatch.setattr(simulate_module, "sample_paintbox", no_work)
+    monkeypatch.setattr(simulate_module, "paint", no_work)
     # 2^64 replicas' dust passes the budget, whatever max_fragments says
     with pytest.raises(ResourceCapExceeded, match="replicas' dust"):
         mass_ensemble(spec_c, [1.0], 2 ** 64, 1, _ignore, max_fragments=10)
