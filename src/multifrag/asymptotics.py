@@ -73,16 +73,16 @@ def biggins_martingale(snapshot: Snapshot, sd: SpectralData, *,
 
 def lln_statistic(snapshot: Snapshot, f) -> float:
     """sum_n X_n f(t^-1 log X_n, T_n); converges to sum_j u_j f(-phi'(0), j)."""
-    if snapshot.t <= 0:
-        raise InvalidArgument("need t > 0 to rescale")
+    if not 0 < snapshot.t < math.inf:
+        raise InvalidArgument("need 0 < t < inf to rescale")
     y = np.log(snapshot.masses) / snapshot.t
     return float(np.sum(snapshot.masses * f(y, snapshot.types)))
 
 
 def clt_statistic(snapshot: Snapshot, f, drift: float) -> float:
     """sum_n X_n f(t^-1/2 (log X_n + drift t), T_n) with drift = phi'(0)."""
-    if snapshot.t <= 0:
-        raise InvalidArgument("need t > 0 to rescale")
+    if not 0 < snapshot.t < math.inf:
+        raise InvalidArgument("need 0 < t < inf to rescale")
     y = (np.log(snapshot.masses) + drift * snapshot.t) / math.sqrt(snapshot.t)
     return float(np.sum(snapshot.masses * f(y, snapshot.types)))
 
@@ -113,8 +113,8 @@ def largest_fragment_rates(snapshot: Snapshot,
                            k: int | None = None) -> LargestFragmentRates:
     """Observed decay rates of the largest fragment at time snapshot.t."""
     t, masses, types = snapshot.t, snapshot.masses, snapshot.types
-    if t <= 0:
-        raise InvalidArgument("need t > 0")
+    if not 0 < t < math.inf:
+        raise InvalidArgument("need 0 < t < inf")
     if k is None:
         k = types.max() if types.size else 1
 
@@ -146,6 +146,8 @@ def ld_predicted_shape(t: float, a: float, b: float, j: int | None,
         raise InvalidWindow(f"need a < b, got a = {a}, b = {b}")
     if not 0.0 < t < math.inf:
         raise InvalidArgument(f"t = {t} must be positive and finite")
+    if j is not None and not 1 <= j <= len(sd.u):
+        raise InvalidArgument(f"type j = {j} outside 1..{len(sd.u)}")
     growth = ld_window_exponent(sd)
     try:
         scale = math.exp(t * growth)
@@ -161,6 +163,8 @@ def ld_predicted_shape(t: float, a: float, b: float, j: int | None,
 def ld_window(t: float, a: float, b: float,
               sd: SpectralData) -> tuple[float, float]:
     """The mass window (a e^(-t phi'), b e^(-t phi')) counted at time t."""
+    if not abs(t) < math.inf:  # one comparison: ldcount calls this per visit
+        raise InvalidArgument(f"t = {t} must be finite")
     scale = math.exp(-t * _phi_d1(sd))
     return a * scale, b * scale
 

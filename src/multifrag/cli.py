@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -44,6 +45,7 @@ SIMULATE_CELL_BYTES = 657
 SIMULATE_ROW_BYTES = 511
 # martingale, per row: one-fragment snapshots as JSON, 2,000 x 10 times
 MARTINGALE_ROW_BYTES = 333
+Split = namedtuple("Split", "values index")  # a column as _distinct splits it
 
 
 # --- spec files ----------------------------------------------------------------
@@ -190,10 +192,15 @@ def _distinct(column):
     """One column as (values, index), cell i holding values[index[i]], so
     that a number is formatted once however often it repeats (about 2% of
     a ``simulate`` table's masses are distinct).  A column is a float64 or
-    int64 array, or a list whose cells are all floats (numpy floats
-    included), all ints or all strings; any other column raises TypeError
-    rather than print different text.  Strings come back as they are, with
-    index None."""
+    int64 array, a list whose cells are all floats (numpy floats
+    included), all ints or all strings, or a ``Split`` whose values are
+    such a column; any other column raises TypeError rather than print
+    different text.  A Split's values pass the same rule, so that numpy
+    scalars among them come back as Python numbers.  Strings come back as
+    they are, with index None."""
+    if isinstance(column, Split):
+        values, inner = _distinct(column.values)
+        return values, column.index if inner is None else inner[column.index]
     if isinstance(column, np.ndarray):
         kinds = {column.dtype.type}
     else:
@@ -217,15 +224,17 @@ def _distinct(column):
 
 
 def _write_rows(args, header, columns):
-    """Write a table given as one column per header entry (see _distinct),
-    as CSV lines or as the JSON list of row objects with sorted keys that
-    ``json.dump`` would write.  A cell's text carries its separators (CSV's
-    ',' or newline after it; JSON's '"key": ' before it, ', ' or '}, '
-    after it, in key order).  Numbers are formatted once per distinct
-    value, by ``str`` (CSV) or ``json.dumps`` (JSON), and neighbouring
-    number columns of few values share one text per pair; strings are
-    formatted a block at a time.  Each block of 4096 rows gathers its texts
-    into an object array and is written as one join."""
+    """Write a table given as one column per header entry (see _distinct;
+    a caller that holds a column as distinct values and an index passes it
+    as a Split, and it is not sorted again), as CSV lines or as the JSON
+    list of row objects with sorted keys that ``json.dump`` would write.  A
+    cell's text carries its separators (CSV's ',' or newline after it;
+    JSON's '"key": ' before it, ', ' or '}, ' after it, in key order).
+    Numbers are formatted once per distinct value, by ``str`` (CSV) or
+    ``json.dumps`` (JSON), and neighbouring columns of few values share one
+    text per pair; strings are formatted a block at a time.  Each block of
+    4096 rows gathers its texts into an object array and is written as one
+    join."""
     last = len(columns) - 1
     if args.format == "json":
         fmt, start, end = json.dumps, "[", "]\n"
@@ -237,12 +246,13 @@ def _write_rows(args, header, columns):
         order = range(len(columns))
         seps = [("", "\n" if p == last else ",") for p in order]
 
-    def text(values, before, after, strings=False):
-        # a list of numbers is formatted in one call: no number's text
-        # holds the ', ' between two list items
-        texts = (map(fmt, values) if strings
-                 else fmt(list(values))[1:-1].split(", "))
-        return np.array([before + s + after for s in texts], dtype=object)
+    def text(values, before, after):
+        # numbers take one call, as their texts hold no ', ' or '\0'
+        if values and isinstance(values[0], str):
+            return np.array([before + fmt(s) + after for s in values],
+                            dtype=object)
+        return np.array((before + fmt(list(values))[1:-1].replace(
+            ", ", after + "\0" + before) + after).split("\0"), dtype=object)
 
     cells = []
     for j, sep in zip(order, seps):
@@ -256,15 +266,15 @@ def _write_rows(args, header, columns):
                 values, index = (np.add.outer(head, values).ravel(),
                                  first * len(values) + index)
         cells.append((values, index, sep))
-    n = min(map(len, columns), default=0)
+    n = min((len(v if i is None else i) for v, i, _ in cells), default=0)
     with _open_out(args) as fh:
         fh.write(start)
         for a in range(0, n, 4096):
             b = min(a + 4096, n)
             rows = np.empty((b - a, len(cells)), dtype=object)
             for j, (values, index, sep) in enumerate(cells):
-                rows[:, j] = (text(values[a:b], *sep, strings=True)
-                              if index is None else values[index[a:b]])
+                rows[:, j] = (text(values[a:b], *sep) if index is None
+                              else values[index[a:b]])
             chunk = "".join(rows.ravel().tolist())
             # the JSON list's last row takes no ', ' after it
             fh.write(chunk[:-2] if end and b == n else chunk)
@@ -346,17 +356,19 @@ def cmd_simulate(args):
                             SIMULATE_CELL_BYTES)
     size = SIMULATE_ROW_BYTES, "rows held for writing"
     most, held = admit(0, *size), 0
-    # each visit's rows with their cell, replica x times + time index, in
-    # arrival order, joined 256 visits at a time: a cell of one fragment
-    # then holds no numpy arrays of its own
-    pieces, joined = [], []
+    # each visit's rows, with its cell (replica x times + time index), its
+    # row count and the rows its cell held before it, joined 256 visits at
+    # a time: a visit then holds no arrays of its own
+    pieces, joined, arrived = [], [], [0] * len(times) * args.replicas
 
     def keep(ti, rep, *piece):
         nonlocal held
         held += rep.size
         if held > most:
             admit(held, *size)
-        pieces.append((rep * len(times) + ti, *piece))
+        cell = int(rep[0]) * len(times) + ti
+        pieces.append((*piece, (cell, rep.size, arrived[cell])))
+        arrived[cell] += rep.size
         if len(pieces) == 256:
             joined.append([np.concatenate(col) for col in zip(*pieces)])
             pieces.clear()
@@ -365,24 +377,21 @@ def cmd_simulate(args):
     header = ["replica", "time", "fragment_id", "mass", "type", "frozen_flag"]
     if not held:  # every fragment turned to dust by the first time
         return _write_rows(args, header, [])
-    columns = list(map(np.concatenate, zip(*joined, *pieces)))
-    joined.clear()
-    pieces.clear()
-    # each cell's rows together, in arrival order
-    by_cell = np.argsort(columns[0], kind="stable")
-    cell, masses, types, frozen = (col[by_cell] for col in columns)
-    del columns, by_cell
-    counts = np.bincount(cell)
-    first = np.flatnonzero(counts)
-    sizes = counts[first]
-    # rank each cell by descending mass; the sort is stable, so equal
-    # masses keep their arrival order, the fragment_id
-    order = np.lexsort((-masses, cell))
-    _write_rows(args, header,
-                [np.repeat(first // len(times), sizes),
-                 np.repeat(np.array(times)[first % len(times)], sizes),
-                 order - np.repeat(np.cumsum(sizes) - sizes, sizes),
-                 masses[order], types[order], frozen[order].astype(np.int64)])
+    masses, types, frozen, visits = map(np.concatenate, zip(*joined, *pieces))
+    del joined[:], pieces[:]
+    cell, rows, before = visits.reshape(-1, 3).T
+    # fragment_id: a row's rank in its cell, in arrival order
+    arrival = np.arange(held) - np.repeat(np.cumsum(rows) - rows - before, rows)
+    # one stable sort on (cell, descending mass); masses are >= 0, so their
+    # bits sort as they do, and a stable sort of uint16 keys is a radix sort
+    distinct, rank = np.unique(masses.view(np.int64), return_inverse=True)
+    key = np.repeat(cell, rows) * distinct.size + (distinct.size - 1 - rank)
+    order = np.argsort(key.astype(np.uint16) if key.max() < 2 ** 16 else key,
+                       kind="stable")
+    replica, ti = np.divmod(key[order] // distinct.size, len(times))
+    _write_rows(args, header, [replica, Split(times, ti), arrival[order],
+                Split(distinct.view(np.float64).tolist(), rank[order]),
+                types[order], frozen[order].astype(np.int64)])
 
 
 def cmd_partition(args):

@@ -402,6 +402,18 @@ def test_lattice_detection(spec_a, spec_b, spec_c):
 
 AT_ZERO = Snapshot(t=0.0, masses=np.array([1.0]), types=np.array([1]),
                    frozen=np.array([False]), dust=0.0)
+
+
+def _at(t):
+    """AT_ZERO moved to time t."""
+    return Snapshot(t=t, masses=AT_ZERO.masses, types=AT_ZERO.types,
+                    frozen=AT_ZERO.frozen, dust=0.0)
+
+
+def _sd(spec):
+    return perron_eigen(spec, 0.5, with_derivatives=True)
+
+
 BAD_ARGUMENTS = {
     "paintbox-no-labels": lambda spec: sample_paintbox(
         build_typed_mass_partition([(1.0, 1)]), 0, replica_stream(60, 0)),
@@ -428,6 +440,27 @@ BAD_ARGUMENTS = {
         build_typed_mass_partition([(0.5, 1)])),
     "block-of-uncovered-element": lambda spec: one_block_partition(
         3, 1).block_of(4),
+    # a NaN t passes a t <= 0 check; an infinite one gives a nan or a 0
+    "lln-at-nan": lambda spec: lln_statistic(_at(math.nan), bump(0.0, 1.0)),
+    "lln-at-inf": lambda spec: lln_statistic(_at(math.inf), bump(0.0, 1.0)),
+    "clt-at-nan": lambda spec: clt_statistic(
+        _at(math.nan), bump(0.0, 1.0), 0.0),
+    "clt-at-inf": lambda spec: clt_statistic(
+        _at(math.inf), bump(0.0, 1.0), 0.0),
+    "largest-at-nan": lambda spec: largest_fragment_rates(_at(math.nan)),
+    "largest-at-inf": lambda spec: largest_fragment_rates(_at(math.inf)),
+    "window-at-nan": lambda spec: ld_window(math.nan, 0.5, 2.0, _sd(spec)),
+    "window-at-inf": lambda spec: ld_window(math.inf, 0.5, 2.0, _sd(spec)),
+    "window-at-minus-inf": lambda spec: ld_window(
+        -math.inf, 0.5, 2.0, _sd(spec)),
+    # sd.u[j - 1] reads type k's weight at j = 0 and fails in numpy past k
+    "shape-type-0": lambda spec: ld_predicted_shape(
+        1.0, 0.5, 2.0, 0, _sd(spec)),
+    "shape-type-past-k": lambda spec: ld_predicted_shape(
+        1.0, 0.5, 2.0, spec.k + 1, _sd(spec)),
+    "count-type-0": lambda spec: ld_count(_at(1.0), 0.5, 2.0, 0, _sd(spec)),
+    "count-type-past-k": lambda spec: ld_count(
+        _at(1.0), 0.5, 2.0, spec.k + 1, _sd(spec)),
 }
 
 

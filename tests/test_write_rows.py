@@ -4,7 +4,8 @@
 rows from shared texts.  Here random tables go through it in both formats
 and must match, byte for byte, what a row-by-row writer gives: each cell's
 ``repr`` or ``str`` joined per row for CSV, and ``json.dumps`` of the list
-of row dicts with sorted keys for JSON.
+of row dicts with sorted keys for JSON.  The same tables go through again
+with some columns given already split, as ``Split(values, index)``.
 """
 
 import argparse
@@ -13,10 +14,11 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multifrag.cli import _write_rows
+from multifrag.cli import Split, _write_rows
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
                   5e-324, 2.2250738585072014e-308, 1e16, 1e-5]
@@ -102,3 +104,43 @@ def test_empty_tables_are_a_header_or_an_empty_list():
     for columns in ([], [np.zeros(0), [], np.zeros(0, dtype=np.int64)]):
         assert written("csv", ["a", "b", "c"], columns) == "a,b,c\n"
         assert written("json", ["a", "b", "c"], columns) == "[]\n"
+
+
+def split(column, rng):
+    """The column as Split(values, index): its cells in a shuffled order,
+    in the column's own form (so numpy scalars and every special float
+    are among the values), and where each cell went."""
+    perm = rng.permutation(len(column))
+    values = (column[perm] if isinstance(column, np.ndarray)
+              else [column[i] for i in perm])
+    return Split(values, np.argsort(perm))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.data())
+def test_split_columns_match_a_row_by_row_writer(table, data):
+    header, columns, kinds = table
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    given_split = [split(col, rng) if data.draw(st.booleans()) else col
+                   for col in columns]
+    rows = [[plain(kind, cell) for kind, cell in zip(kinds, row)]
+            for row in zip(*columns)]
+    assert written("csv", header, given_split) == "".join(
+        ",".join(map(str, row)) + "\n" for row in [header] + rows)
+    assert written("json", header, given_split) == json.dumps(
+        [dict(zip(header, row)) for row in rows], sort_keys=True) + "\n"
+
+
+def test_split_values_pass_the_column_rule():
+    index = np.array([2, 0, 1, 1], dtype=np.int64)
+    # numpy float64 and int64 scalars are written as Python numbers
+    assert written("csv", ["x", "n"], [
+        Split([np.float64(-0.0), np.float64(5e-324), np.float64("nan")],
+              index),
+        Split(list(map(np.int64, [7, -1, 2 ** 62])), index)]) == (
+        "x,n\nnan,4611686018427387904\n-0.0,7\n5e-324,-1\n5e-324,-1\n")
+    # any other kind, or a mix of kinds, is refused as in a plain column
+    for values in ([np.float32(0.5)] * 3, [1.0, 2, 3.0], [True, False, True],
+                   ["a", 1.0, "b"]):
+        with pytest.raises(TypeError):
+            written("csv", ["x"], [Split(values, index)])
