@@ -163,8 +163,8 @@ def ld_predicted_shape(t: float, a: float, b: float, j: int | None,
 def ld_window(t: float, a: float, b: float,
               sd: SpectralData) -> tuple[float, float]:
     """The mass window (a e^(-t phi'), b e^(-t phi')) counted at time t."""
-    if not abs(t) < math.inf:  # one comparison: ldcount calls this per visit
-        raise InvalidArgument(f"t = {t} must be finite")
+    if not 0.0 <= t < math.inf:  # one comparison: ldcount calls this per visit
+        raise InvalidArgument(f"t = {t} must be finite and >= 0")
     scale = math.exp(-t * _phi_d1(sd))
     return a * scale, b * scale
 
@@ -244,29 +244,52 @@ GAUSSIAN_SPAN = 12.0  # the Gaussian reference integrates over +-12 sd
 LATTICE_RTOL, LATTICE_MAX_DENOMINATOR = 1e-9, 1000  # what counts as rational
 
 
-def adaptive_simpson(func, a: float, b: float) -> float:
-    """Adaptive Simpson on [a, b]; NoConvergence at a non-finite estimate."""
+def _simpson(func, a: float, b: float) -> float:
+    """Adaptive Simpson on [a, b], a depth at a time: ``func`` maps a list of
+    points to a list of values, called for a, the midpoint and b, then once
+    per depth for the quarter points of every interval split there.  The
+    nodes and sums of a depth-first recursion, so its bits.  NoConvergence
+    at a non-finite estimate, the first of the shallowest depth with one."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = func(lm), func(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if not math.isfinite(left + right):
-            raise NoConvergence(f"non-finite integrand on [{x0}, {x2}]")
-        if depth >= SIMPSON_DEPTH or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
+    fa, fm, fb = func([a, 0.5 * (a + b), b])
+    level = [(a, 0.5 * (a + b), b, fa, fm, fb, simpson(a, b, fa, fm, fb))]
+    depths, eps = [], SIMPSON_TOL  # per depth, each interval's sum or None
+    for depth in range(SIMPSON_DEPTH + 1):
+        values = iter(func([0.5 * (p + q) for x0, x1, x2, *_ in level
+                            for p, q in ((x0, x1), (x1, x2))]))
+        sums, deeper = [], []
+        for x0, x1, x2, f0, f1, f2, whole in level:
+            flm, frm = next(values), next(values)
+            left = simpson(x0, x1, f0, flm, f1)
+            right = simpson(x1, x2, f1, frm, f2)
+            if not math.isfinite(left + right):
+                raise NoConvergence(f"non-finite integrand on [{x0}, {x2}]")
+            if (depth >= SIMPSON_DEPTH
+                    or abs(left + right - whole) <= 15.0 * eps):
+                sums.append(left + right + (left + right - whole) / 15.0)
+            else:
+                sums.append(None)
+                deeper += [(x0, 0.5 * (x0 + x1), x1, f0, flm, f1, left),
+                           (x1, 0.5 * (x1 + x2), x2, f1, frm, f2, right)]
+        depths.append(sums)
+        level, eps = deeper, eps / 2.0
+        if not level:
+            break
+    below: list = []
+    for sums in reversed(depths):  # a split interval adds its two halves
+        halves = iter(below)
+        below = [next(halves) + next(halves) if value is None else value
+                 for value in sums]
+    return below[0]
 
-    mid = 0.5 * (a + b)
-    fa, fm, fb = func(a), func(mid), func(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, SIMPSON_TOL, 0)
+
+def adaptive_simpson(func, a: float, b: float) -> float:
+    """Adaptive Simpson of a scalar func on [a, b]; NoConvergence at a
+    non-finite estimate."""
+    return _simpson(lambda xs: [func(x) for x in xs], a, b)
 
 
 def gaussian_limit(f, u: np.ndarray, variance: float) -> float:
@@ -279,12 +302,14 @@ def gaussian_limit(f, u: np.ndarray, variance: float) -> float:
             total += uj * float(f(np.array([0.0]), np.array([j]))[0])
             continue
 
-        def integrand(y, j=j):
-            return (float(f(np.array([y]), np.array([j]))[0])
-                    * math.exp(-y * y / (2.0 * variance)))
+        def integrand(ys, j=j):
+            # one call of f per depth; the Gaussian weight per point
+            values = np.asarray(f(np.array(ys), np.full(len(ys), j)), float)
+            return [value * math.exp(-y * y / (2.0 * variance))
+                    for value, y in zip(values.tolist(), ys)]
 
         half = GAUSSIAN_SPAN * math.sqrt(variance)
-        total += (uj * adaptive_simpson(integrand, -half, half)
+        total += (uj * _simpson(integrand, -half, half)
                   / math.sqrt(2.0 * math.pi * variance))
     return total
 

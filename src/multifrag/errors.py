@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks they share."""
+
+import numpy as np
 
 
 class MultifragError(Exception):
@@ -100,6 +102,16 @@ class InvalidArgument(MultifragError, ValueError):
     """A library call got an argument outside its domain."""
 
     exit_code = 2
+
+
+def check_count(value, name: str, least: int | None = 1) -> int:
+    """``value`` as an int: an int or numpy integer, never a bool, of at
+    least ``least`` unless that is None; else InvalidArgument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgument(f"{name} = {value!r} is not an integer")
+    if least is not None and value < least:
+        raise InvalidArgument(f"{name} = {value} < {least}")
+    return int(value)
 
 
 # --- driver -------------------------------------------------------------------

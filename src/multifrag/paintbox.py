@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidArgument, admit
+from .errors import admit, check_count
 from .partitions import TypedBlockPartition, TypedMassPartition
 
 # per label: each label alone on its own component, n = 44,000
@@ -45,12 +45,9 @@ def sample_paintbox(x: TypedMassPartition, n: int,
                     rng: np.random.Generator) -> TypedBlockPartition:
     """Sample the paintbox based on x, restricted to {1..n}, from the n
     uniforms of one ``rng.random(n)``."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InvalidArgument(f"n = {n!r} is not an integer")
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
+    n = check_count(n, "n")
     admit(n, PAINTBOX_LABEL_BYTES, "paintbox labels")
-    return TypedBlockPartition(int(n), tuple(paint(
+    return TypedBlockPartition(n, tuple(paint(
         list(accumulate(x.masses())), x.types(), range(1, n + 1),
         rng.random(n).tolist())))
 

@@ -25,16 +25,19 @@ Three simulators share this law:
 
 The single-path engines draw atoms and children with ``bisect_right`` on
 a Python list of a compiled selection table, within the run of the
-fragment's type, so the index they draw is the compiled one.
+fragment's type, so the index they draw is the compiled one; the vectorized
+drivers draw the same index for a whole wave with the ``draw`` that
+``_selector`` builds once per run.
 
 ``mass_ensemble`` and ``tagged_ensemble`` are vectorized replica drivers
 for statistics that need large populations or many replicas.  One wave
 generator, ``_waves``, advances the lanes of both a generation at a time
-and takes all their draws, in one order.  Every engine draws from the rates
-and selection tables compiled into the spec (see FragmentationSpec).  The
-CLI's ``simulate``, ``martingale`` and ``ldcount`` read their fragments from
-``mass_ensemble``; ``simulate_mass_fragmentation`` stays as the library's
-recorder of one path's events.
+and takes all their draws, in one order; ``mass_ensemble`` makes each
+wave's children from a per-atom table of row slots.  Every engine draws
+from the rates and selection tables compiled into the spec (see
+FragmentationSpec).  The CLI's ``simulate``, ``martingale`` and ``ldcount``
+read their fragments from ``mass_ensemble``; ``simulate_mass_fragmentation``
+stays as the library's recorder of one path's events.
 
 Each engine checks with ``errors.admit``, against the one byte budget
 MAX_RUN_BYTES, every size it knows before its first draw, and holds what
@@ -60,6 +63,7 @@ from .errors import (
     PartitionWithErosion,
     ResourceCapExceeded,
     admit,
+    check_count,
 )
 from .measures import FragmentationSpec
 from .paintbox import PAINTBOX_LABEL_BYTES, paint
@@ -84,6 +88,9 @@ TAGGED_REPLICA_BYTES = 84
 TAGGED_ROW_BYTES = 424
 # per label a partition path stores: all singletons at once, n = 65536
 STORED_LABEL_BYTES = 156
+# the longest run that _selector counts by columns, one pass per entry: a
+# bisection pass costs as much, and it adds clamps and a final pass
+SHORT_RUN = 4
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -354,11 +361,9 @@ def simulate_partition_fragmentation(spec: FragmentationSpec, n: int,
     positive erosion rate raises PartitionWithErosion.
     """
     initial_type = int(spec.check_type(initial_type))
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InvalidArgument(f"n = {n!r} is not an integer")
+    n = check_count(n, "n", None)
     if n < 2:
         raise GroundSizeTooSmall(f"need n >= 2, got {n}")
-    n = int(n)
     _check_horizon(t_max)
     if any(spec.erosion):
         raise PartitionWithErosion(
@@ -451,63 +456,87 @@ def _observation_times(times, n_replicas: int) -> np.ndarray:
     if times.ndim != 1 or not times.size or not np.all(
             (0.0 <= times) & (times < np.inf)):
         raise InvalidArgument(f"need finite times >= 0, got {times.tolist()}")
-    if n_replicas < 1:
-        raise InvalidArgument(f"n_replicas = {n_replicas} < 1")
+    check_count(n_replicas, "n_replicas")
     return np.sort(times)
 
 
-def _draw(cum, starts, types, u) -> np.ndarray:
-    """Index in ``cum`` of the entry that each uniform u selects in the run
-    cum[starts[t]:starts[t + 1]] of its type t: the run's first index plus
-    the number of its entries <= u.  A branchless bisection counts them in
-    exact float comparisons, every probe clamped to the run's last entry,
-    1.0, which no u in [0, 1) passes."""
-    pos = starts.take(types)
-    passes = int(np.diff(starts).max()).bit_length()
-    if passes > 1:
-        last = (starts[1:] - 1).take(types)
+def _selector(cum, starts):
+    """draw(types, u), built once per table: the index in ``cum`` of the
+    entry each uniform u selects in the run cum[starts[t]:starts[t + 1]] of
+    its type t, the run's first index plus its entries <= u, counted in exact
+    float comparisons.  Runs of at most SHORT_RUN entries are counted a
+    column at a time, column c holding entry c of each run, +inf past its
+    end; longer runs by a branchless bisection, every probe clamped to the
+    run's last entry, 1.0, which no u in [0, 1) passes.  Both put a u of 1.0
+    one past its run."""
+    runs = np.diff(starts)
+    longest = int(runs.max())
+    if longest <= SHORT_RUN:
+        columns = [np.where(c < runs, cum.take(np.minimum(
+            starts[:-1] + c, cum.size - 1)), np.inf) for c in range(longest)]
+
+        def draw(types, u):
+            pos = starts.take(types)
+            for column in columns:
+                pos += column.take(types) <= u
+            return pos
+        return draw
+    passes, ends = longest.bit_length(), starts[1:] - 1
+
+    def draw(types, u):
+        pos, last = starts.take(types), ends.take(types)
         for p in range(passes - 1, 0, -1):
             step = 1 << p
             probe = pos + (step - 1)
             np.minimum(probe, last, out=probe)
             pos += np.multiply(cum.take(probe) <= u, step, out=probe)
         np.minimum(pos, last, out=pos)  # a u of 1.0 may pass the run's end
-    pos += cum.take(pos) <= u
-    return pos
+        pos += cum.take(pos) <= u
+        return pos
+    return draw
 
 
-def _waves(rng, cum, starts, times, lanes, clock_rate, branch):
+def _draw(cum, starts, types, u) -> np.ndarray:
+    """One wave's draw from a table built for it, as ``_selector`` makes."""
+    return _selector(cum, starts)(types, u)
+
+
+def _waves(rng, draw, times, lanes, clock_rate, branch):
     """Grow ``lanes``, columns (type, ...) of lanes born at time 0, a wave
     (generation) at a time, yielding (time_index, type, ...) for those alive
     at each time.  Each wave draws, in lane order, an exponential clock per
     lane of positive ``clock_rate(type, ...)``, then a uniform per lane that
-    splits by the last time, which selects an entry of the selection table
-    ``cum`` in the run ``starts`` gives its type; ``branch(split_time, index
-    into cum, type, ...)`` returns the next wave's (birth, type, ...)."""
+    splits by the last time, which ``draw(type, u)`` (from ``_selector``)
+    turns into an entry of a selection table; ``branch(split_time, entry,
+    type, ...)`` returns the next wave's (birth, type, ...).  No lane is born
+    after the last time, so one mask gives the lanes alive then and those
+    that go on."""
     horizon = times[-1]
     birth = np.zeros(lanes[0].size)
     while True:
         rate = clock_rate(*lanes)
         can = rate > 0
         if can.all():  # the same operations, without the masked gather
-            split = birth + rng.exponential(1.0, birth.size) / rate
+            split = birth + rng.standard_exponential(birth.size) / rate
         else:
             split = np.full(birth.size, np.inf)
             split[can] = (birth[can]
-                          + rng.exponential(1.0, can.sum()) / rate[can])
+                          + rng.standard_exponential(can.sum()) / rate[can])
         del rate, can  # freed before the gathers below: the run peaks lower
+        stop = split > horizon
         for ti, tau in enumerate(times):
-            alive = np.flatnonzero((birth <= tau) & (split > tau))
+            alive = np.flatnonzero(stop if tau == horizon else
+                                   (birth <= tau) & (split > tau))
             if alive.size:
-                yield ti, *(col[alive] for col in lanes)
-        go = np.flatnonzero(split <= horizon)
+                yield ti, *(col.take(alive) for col in lanes)
+        go = np.flatnonzero(~stop)
         if not go.size:  # no lane splits: the run ends without a draw
             return
         if go.size < split.size:
-            lanes, split = tuple(col[go] for col in lanes), split[go]
+            lanes, split = tuple(col.take(go) for col in lanes), split.take(go)
         del go  # freed before the draw, likewise
-        birth, *lanes = branch(split, _draw(
-            cum, starts, lanes[0], rng.random(split.size)), *lanes)
+        birth, *lanes = branch(split, draw(lanes[0], rng.random(split.size)),
+                               *lanes)
 
 
 def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
@@ -532,13 +561,14 @@ def tagged_ensemble(spec: FragmentationSpec, times, n_replicas: int,
     out_s = np.zeros((len(times), n_replicas))
 
     def branch(split, row, j, replica, s):
-        return split, spec.row_child[row], replica, s - spec.row_log_mass[row]
+        return (split, spec.row_child.take(row), replica,
+                s - spec.row_log_mass.take(row))
 
     for ti, j, replica, s in _waves(
-            replica_stream(seed, 0), spec.row_cum, spec.type_rows, times,
-            (np.full(n_replicas, initial_type, dtype=np.int64),
-             np.arange(n_replicas), np.zeros(n_replicas)),
-            lambda j, *_: spec.type_rate[j], branch):
+            replica_stream(seed, 0), _selector(spec.row_cum, spec.type_rows),
+            times, (np.full(n_replicas, initial_type, dtype=np.int64),
+                    np.arange(n_replicas), np.zeros(n_replicas)),
+            lambda j, *_: spec.type_rate.take(j), branch):
         out_j[ti, replica] = j
         out_s[ti, replica] = s
     return out_j, out_s
@@ -572,13 +602,15 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     spec.check_type(initial_type)
     times = _observation_times(times, n_replicas)
     _check_mass_floor(mass_floor)
-    if replica_chunk is not None and replica_chunk < 1:
-        raise InvalidArgument(f"replica_chunk = {replica_chunk} < 1")
+    chunk = n_replicas if replica_chunk is None else check_count(
+        replica_chunk, "replica_chunk")
+    if max_fragments is not None:
+        check_count(max_fragments, "max_fragments")
     erosion = _erosion(spec)
     admit(n_replicas, 8, "replicas' dust")
     dust_out = np.zeros(n_replicas)
-    chunk = n_replicas if replica_chunk is None else int(replica_chunk)
     produced = 0
+    draw = _selector(spec.atom_cum, spec.type_atoms)
 
     def grow(n):
         """Count a wave of n fragments against the cap and the budget."""
@@ -592,23 +624,35 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
 
     def rate(typ, rep, mass):
         # a frozen fragment never splits
-        return np.where(mass < mass_floor, 0.0, spec.type_rate[typ])
+        return np.where(mass < mass_floor, 0.0, spec.type_rate.take(typ))
+
+    # each atom's rows as slots 0..width-1, NaN mass past its last row
+    width = int(spec.atom_rows.max(initial=1))
+    used = np.arange(width) < spec.atom_rows[:, None]
+    slot_mass = np.full(used.shape, np.nan)
+    slot_child = np.zeros(used.shape, np.int64)
+    slot_mass[used], slot_child[used] = spec.row_mass, spec.row_child
+    ragged = not used.all()
 
     def branch(split, atom, typ, rep, mass):
-        shed = mass * spec.atom_dust[atom]
+        shed = mass * spec.atom_dust.take(atom)
         if shed.any():
             np.add.at(dust_out, rep, shed)
-        lens = spec.atom_rows[atom]
-        total = int(lens.sum())
-        grow(total)
-        parent = np.repeat(np.arange(lens.size), lens)
-        row = np.arange(total) + (
-            spec.atom_first_row[atom] - np.cumsum(lens) + lens).take(parent)
-        mass = mass.take(parent) * spec.row_mass[row]
-        if drop_frozen:
-            keep = np.flatnonzero(mass >= mass_floor)
-            parent, row, mass = parent[keep], row[keep], mass[keep]
-        return split.take(parent), spec.row_child[row], rep.take(parent), mass
+        grow(int(spec.atom_rows.take(atom).sum()))
+        # parent-major, then row: each child's mass is its parent's times
+        # its row's, as one product of the same two floats
+        mass = (slot_mass.take(atom, axis=0) * mass[:, None]).ravel()
+        if not drop_frozen:  # every used slot, so each parent once per row
+            child = slot_child.take(atom, axis=0).ravel()
+            if ragged:
+                filled = mass == mass  # NaN marks the unused slots
+                child, mass = child[filled], mass[filled]
+            rows = spec.atom_rows.take(atom)
+            return split.repeat(rows), child, rep.repeat(rows), mass
+        kept = np.flatnonzero(mass >= mass_floor)  # NaN fails >= too
+        parent = kept // width  # and slot kept % width of atom[parent]
+        child = slot_child.take(kept + (atom.take(parent) - parent) * width)
+        return split.take(parent), child, rep.take(parent), mass.take(kept)
 
     for start in range(0, n_replicas, chunk):
         stop = min(start + chunk, n_replicas)
@@ -616,10 +660,10 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
         if drop_frozen and mass_floor > 1.0:
             continue  # the roots are frozen
         for ti, typ, rep, mass in _waves(
-                replica_stream(seed, start), spec.atom_cum, spec.type_atoms,
-                times, (np.full(stop - start, initial_type, dtype=np.int64),
-                        np.arange(start, stop, dtype=np.int64),
-                        np.ones(stop - start)), rate, branch):
+                replica_stream(seed, start), draw, times,
+                (np.full(stop - start, initial_type, dtype=np.int64),
+                 np.arange(start, stop, dtype=np.int64),
+                 np.ones(stop - start)), rate, branch):
             frozen = mass < mass_floor
             if erosion:
                 mass = mass * math.exp(-erosion * times[ti])

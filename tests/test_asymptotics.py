@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifrag import (
     Snapshot,
@@ -41,6 +43,12 @@ from multifrag.errors import (
     NotConservative,
     NotIrreducible,
     ThetaAboveCritical,
+)
+from multifrag.asymptotics import (
+    _FAMILY,
+    GAUSSIAN_SPAN,
+    SIMPSON_DEPTH,
+    SIMPSON_TOL,
 )
 from multifrag.streams import replica_stream
 from conftest import semigroup
@@ -338,6 +346,102 @@ def test_gaussian_limit_against_closed_form():
     assert gaussian_limit(f, np.array([1.0]), 0.0) == pytest.approx(1.0)
 
 
+def _depth_first_simpson(func, a, b):
+    """Adaptive Simpson by depth-first recursion, one scalar call of func
+    per node: the reference for the depth-at-a-time integrator."""
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        x1 = 0.5 * (x0 + x2)
+        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
+        flm, frm = func(lm), func(rm)
+        left = simpson(x0, x1, f0, flm, f1)
+        right = simpson(x1, x2, f1, frm, f2)
+        if not math.isfinite(left + right):
+            raise NoConvergence(f"non-finite integrand on [{x0}, {x2}]")
+        if depth >= SIMPSON_DEPTH or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
+                + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
+
+    mid = 0.5 * (a + b)
+    fa, fm, fb = func(a), func(mid), func(b)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), SIMPSON_TOL, 0)
+
+
+def _depth_first_gaussian_limit(f, u, variance):
+    """gaussian_limit with one scalar call of f per node."""
+    total = 0.0
+    for j, uj in enumerate(np.asarray(u), start=1):
+        if variance == 0.0:
+            total += uj * float(f(np.array([0.0]), np.array([j]))[0])
+            continue
+
+        def integrand(y, j=j):
+            return (float(f(np.array([y]), np.array([j]))[0])
+                    * math.exp(-y * y / (2.0 * variance)))
+
+        half = GAUSSIAN_SPAN * math.sqrt(variance)
+        total += (uj * _depth_first_simpson(integrand, -half, half)
+                  / math.sqrt(2.0 * math.pi * variance))
+    return total
+
+
+def _outcome(call, *args):
+    """The bits of call(*args), or the NoConvergence it raised."""
+    try:
+        return float(call(*args)).hex()
+    except NoConvergence:
+        return NoConvergence
+
+
+variances = st.sampled_from([0.0, 1e-6, 0.25]) | st.floats(1e-3, 10.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["bump", "sigmoid", "coswin"]),
+       center=st.floats(-4.0, 4.0), width=st.floats(0.01, 5.0),
+       type_index=st.none() | st.integers(1, 3), variance=variances)
+def test_depth_at_a_time_simpson_matches_depth_first(kind, center, width,
+                                                     type_index, variance):
+    f = make_test_function(kind, center, width, type_index)
+    u = np.array([0.5, 0.3, 0.2])
+    got = _outcome(gaussian_limit, f, u, variance)
+    assert got is not NoConvergence
+    assert got == _outcome(_depth_first_gaussian_limit, f, u, variance)
+    # the scalar adapter: one call of func per point
+    g = _FAMILY[kind](center, width)
+    assert (_outcome(adaptive_simpson, lambda y: float(g(y)), -3.0, 2.0)
+            == _outcome(_depth_first_simpson, lambda y: float(g(y)), -3.0,
+                        2.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point=st.floats(-1.0, 1.0, exclude_max=True),
+       span=st.none() | st.floats(1e-6, 0.2), variance=variances)
+def test_simpson_refuses_a_nan_integrand_as_depth_first_does(point, span,
+                                                            variance):
+    # NaN past point (or on [point, point + span]), both given as fractions
+    # of the half range: an integrand that is NaN at the end of the range is
+    # refused; a NaN window between the nodes may pass unseen, by both
+    # integrators alike
+    g, half = bump(0.5, 1.0), GAUSSIAN_SPAN * math.sqrt(variance)
+
+    def f(y, types):
+        z = y / half if half else y
+        nan = (z > point) if span is None else (
+            (point <= z) & (z <= point + span))
+        return np.where(nan, math.nan, g(y))
+
+    u = np.array([1.0])
+    got = _outcome(gaussian_limit, f, u, variance)
+    assert got == _outcome(_depth_first_gaussian_limit, f, u, variance)
+    if span is None and variance > 0.0:
+        assert got is NoConvergence
+
+
 def test_laplace_intensity_identity(spec_c):
     # E sum_n 1{T_n(1) = j} X_n^theta(1) = (e^(-Phi(theta - 1)))_{1j}
     theta, reps = 1.7, 4000
@@ -453,6 +557,9 @@ BAD_ARGUMENTS = {
     "window-at-inf": lambda spec: ld_window(math.inf, 0.5, 2.0, _sd(spec)),
     "window-at-minus-inf": lambda spec: ld_window(
         -math.inf, 0.5, 2.0, _sd(spec)),
+    # e^(-t phi') overflowed to OverflowError here
+    "window-at-negative-t": lambda spec: ld_window(
+        -1e4, 0.5, 2.0, _sd(spec)),
     # sd.u[j - 1] reads type k's weight at j = 0 and fails in numpy past k
     "shape-type-0": lambda spec: ld_predicted_shape(
         1.0, 0.5, 2.0, 0, _sd(spec)),

@@ -367,6 +367,23 @@ def test_draw_matches_its_reference_on_long_tables():
     _check_draw(spec, rng)
 
 
+@pytest.mark.parametrize("longest", [4, 5])
+def test_draw_matches_its_reference_either_side_of_the_short_run(longest):
+    # SHORT_RUN = 4 entries are counted by columns, 5 by bisection: type 1
+    # has `longest` one-child atoms, type 2 one atom of `longest` children,
+    # type 3 one atom of two, and type 4 none
+    rng = np.random.default_rng(longest)
+    assert simulate_module.SHORT_RUN == 4
+    spec = fragmentation_spec(4, {
+        1: [(float(rate), [(0.5, 2)])
+            for rate in rng.uniform(0.1, 2.0, longest)],
+        2: [(1.0, [(float(m), 1) for m in np.full(longest, 1.0 / longest)])],
+        3: [(0.5, [(0.7, 1), (0.3, 3)])]})
+    assert np.diff(spec.type_atoms).tolist() == [0, longest, 1, 1, 0]
+    assert np.diff(spec.type_rows).tolist() == [0, longest, longest, 2, 0]
+    _check_draw(spec, rng)
+
+
 def test_draw_counts_equal_entries_below():
     # SPEC-C: type 1 has one atom, type 2 one atom with three children
     spec = fragmentation_spec(2, {

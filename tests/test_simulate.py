@@ -764,14 +764,50 @@ def test_initial_type_outside_types_rejected(spec_b, engine, typ):
     lambda spec: tagged_ensemble(spec, [-1.0], 5, 31),
     lambda spec: tagged_ensemble(spec, [math.nan], 5, 31),
     lambda spec: tagged_ensemble(spec, [1.0], 0, 31),
+    # a float or a bool count failed in numpy, or was taken as a count
+    lambda spec: mass_ensemble(spec, [1.0], 2.5, 31, _ignore),
+    lambda spec: mass_ensemble(spec, [1.0], True, 31, _ignore),
+    lambda spec: mass_ensemble(spec, [1.0], 5, 31, _ignore, replica_chunk=2.5),
+    lambda spec: mass_ensemble(spec, [1.0], 5, 31, _ignore,
+                               replica_chunk=True),
+    lambda spec: mass_ensemble(spec, [1.0], 5, 31, _ignore,
+                               max_fragments=2.5),
+    lambda spec: mass_ensemble(spec, [1.0], 5, 31, _ignore,
+                               max_fragments=True),
+    # a cap below 1 refuses every run; it raised ResourceCapExceeded
+    lambda spec: mass_ensemble(spec, [1.0], 5, 31, _ignore, max_fragments=0),
+    lambda spec: tagged_ensemble(spec, [1.0], 2.5, 31),
+    lambda spec: tagged_ensemble(spec, [1.0], True, 31),
 ], ids=["mass-no-times", "mass-negative-time", "mass-no-replicas",
         "mass-zero-chunk", "tagged-no-times", "tagged-negative-time",
-        "tagged-nan-time", "tagged-no-replicas"])
+        "tagged-nan-time", "tagged-no-replicas", "mass-float-replicas",
+        "mass-bool-replicas", "mass-float-chunk", "mass-bool-chunk",
+        "mass-float-cap", "mass-bool-cap", "mass-zero-cap",
+        "tagged-float-replicas",
+        "tagged-bool-replicas"])
 def test_ensemble_arguments_checked(spec_c, call):
     with pytest.raises(InvalidArgument) as err:
         call(spec_c)
     assert isinstance(err.value, MultifragError)
     assert isinstance(err.value, ValueError)
+
+
+def test_ensembles_take_numpy_integer_counts(spec_c):
+    def run(*counts):
+        calls = []
+        dust = mass_ensemble(
+            spec_c, [1.0, 2.0], counts[0], 31,
+            lambda ti, *arrays: calls.append(
+                (ti, *(a.tobytes() for a in arrays))),
+            replica_chunk=counts[1], max_fragments=counts[2])
+        return calls, dust.tobytes()
+
+    assert run(5, 2, 10 ** 4) == run(np.int64(5), np.int32(2),
+                                     np.int64(10 ** 4))
+    j, s = tagged_ensemble(spec_c, [1.0], 5, 31)
+    numpy_j, numpy_s = tagged_ensemble(spec_c, [1.0], np.uint8(5), 31)
+    assert j.tobytes() == numpy_j.tobytes()
+    assert s.tobytes() == numpy_s.tobytes()
 
 
 class _TopUniform:
@@ -780,6 +816,9 @@ class _TopUniform:
 
     def exponential(self, scale=1.0, size=None):
         return 0.25 if size is None else np.full(size, 0.25)
+
+    def standard_exponential(self, size=None):
+        return self.exponential(1.0, size)
 
     def random(self, size=None):
         top = 1.0 - 2.0 ** -53
