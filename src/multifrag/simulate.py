@@ -41,9 +41,9 @@ stays as the library's recorder of one path's events.
 
 Each engine checks with ``errors.admit``, against the one byte budget
 MAX_RUN_BYTES, every size it knows before its first draw, and holds what
-grows during a run (a path's fragments or labels, one wave's rows) to a
-count that the budget gives once per run.  MAX_TAGGED_JUMPS and the
-``max_fragments`` of ``mass_ensemble`` bound work, not memory.
+grows during a run (a path's fragments or labels, one wave's rows and
+row slots) to a count that the budget gives once per run.  MAX_TAGGED_JUMPS
+and the ``max_fragments`` of ``mass_ensemble`` bound work, not memory.
 """
 
 import heapq
@@ -88,9 +88,13 @@ TAGGED_REPLICA_BYTES = 84
 TAGGED_ROW_BYTES = 424
 # per label a partition path stores: all singletons at once, n = 65536
 STORED_LABEL_BYTES = 156
-# the longest run that _selector counts by columns, one pass per entry: a
-# bisection pass costs as much, and it adds clamps and a final pass
-SHORT_RUN = 4
+# per entry of a table padded once per run, a float and an int64 beside its
+# build mask: mass_ensemble's row slots of 2,001 atoms, one 2,000 rows wide
+PADDED_ENTRY_BYTES = 18
+# per row slot of a mass_ensemble wave, which passes this figure and
+# WAVE_ROW_BYTES: a 2-row atom beside a rare one of 10 rows, halving, floor
+# 0, the narrowest shape whose slots outweigh the rows' figure
+WAVE_SLOT_BYTES = 22
 
 
 def _check_time(t: float, t_max: float) -> None:
@@ -464,41 +468,25 @@ def _selector(cum, starts):
     """draw(types, u), built once per table: the index in ``cum`` of the
     entry each uniform u selects in the run cum[starts[t]:starts[t + 1]] of
     its type t, the run's first index plus its entries <= u, counted in exact
-    float comparisons.  Runs of at most SHORT_RUN entries are counted a
-    column at a time, column c holding entry c of each run, +inf past its
-    end; longer runs by a branchless bisection, every probe clamped to the
-    run's last entry, 1.0, which no u in [0, 1) passes.  Both put a u of 1.0
-    one past its run."""
+    float comparisons.  Row t of a table as wide as the power of two past the
+    longest run holds type t's run, then +inf, so a branchless bisection
+    never leaves the row and needs no clamp, and a u of 1.0 lands one past
+    its run."""
     runs = np.diff(starts)
-    longest = int(runs.max())
-    if longest <= SHORT_RUN:
-        columns = [np.where(c < runs, cum.take(np.minimum(
-            starts[:-1] + c, cum.size - 1)), np.inf) for c in range(longest)]
-
-        def draw(types, u):
-            pos = starts.take(types)
-            for column in columns:
-                pos += column.take(types) <= u
-            return pos
-        return draw
-    passes, ends = longest.bit_length(), starts[1:] - 1
+    width = 1 << int(runs.max(initial=0)).bit_length()
+    admit(runs.size * width, PADDED_ENTRY_BYTES, "padded selection entries")
+    table = np.full((runs.size, width), np.inf)
+    table[np.arange(width) < runs[:, None]] = cum
+    table = table.ravel()
+    index = (starts[:-1, None] + np.arange(width)).ravel()  # into cum
+    steps = [1 << p for p in range(width.bit_length() - 2, -1, -1)]
 
     def draw(types, u):
-        pos, last = starts.take(types), ends.take(types)
-        for p in range(passes - 1, 0, -1):
-            step = 1 << p
-            probe = pos + (step - 1)
-            np.minimum(probe, last, out=probe)
-            pos += np.multiply(cum.take(probe) <= u, step, out=probe)
-        np.minimum(pos, last, out=pos)  # a u of 1.0 may pass the run's end
-        pos += cum.take(pos) <= u
-        return pos
+        pos = types * width
+        for step in steps:
+            pos += (table[step - 1:].take(pos) <= u) * step
+        return index.take(pos)
     return draw
-
-
-def _draw(cum, starts, types, u) -> np.ndarray:
-    """One wave's draw from a table built for it, as ``_selector`` makes."""
-    return _selector(cum, starts)(types, u)
 
 
 def _waves(rng, draw, times, lanes, clock_rate, branch):
@@ -590,7 +578,8 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
     Replicas are processed in chunks (all at once by default); replica r of
     chunk c draws from the stream keyed (seed, first replica of c), so
     results are reproducible for fixed seed and chunking.  Growing more than
-    ``max_fragments`` fragments over all replicas, or a wave past the run
+    ``max_fragments`` fragments over all replicas, or a wave whose rows or
+    row slots (its parents times the most rows of any atom) pass the run
     budget, raises ResourceCapExceeded before that wave is allocated.
     Returns each replica's dust from non-conservative atoms, before erosion.
     With ``drop_frozen``, a fragment below ``mass_floor`` (the root
@@ -628,31 +617,33 @@ def mass_ensemble(spec: FragmentationSpec, times, n_replicas: int, seed: int,
 
     # each atom's rows as slots 0..width-1, NaN mass past its last row
     width = int(spec.atom_rows.max(initial=1))
+    admit(spec.atom_rows.size * width, PADDED_ENTRY_BYTES, "atoms' row slots")
     used = np.arange(width) < spec.atom_rows[:, None]
     slot_mass = np.full(used.shape, np.nan)
     slot_child = np.zeros(used.shape, np.int64)
     slot_mass[used], slot_child[used] = spec.row_mass, spec.row_child
-    ragged = not used.all()
+    del used
+    floor = mass_floor if drop_frozen else -np.inf
 
     def branch(split, atom, typ, rep, mass):
         shed = mass * spec.atom_dust.take(atom)
         if shed.any():
             np.add.at(dust_out, rep, shed)
         grow(int(spec.atom_rows.take(atom).sum()))
-        # parent-major, then row: each child's mass is its parent's times
-        # its row's, as one product of the same two floats
-        mass = (slot_mass.take(atom, axis=0) * mass[:, None]).ravel()
-        if not drop_frozen:  # every used slot, so each parent once per row
-            child = slot_child.take(atom, axis=0).ravel()
-            if ragged:
-                filled = mass == mass  # NaN marks the unused slots
-                child, mass = child[filled], mass[filled]
-            rows = spec.atom_rows.take(atom)
-            return split.repeat(rows), child, rep.repeat(rows), mass
-        kept = np.flatnonzero(mass >= mass_floor)  # NaN fails >= too
-        parent = kept // width  # and slot kept % width of atom[parent]
-        child = slot_child.take(kept + (atom.take(parent) - parent) * width)
-        return split.take(parent), child, rep.take(parent), mass.take(kept)
+        admit(atom.size * width, WAVE_SLOT_BYTES, "row slots in one wave")
+        # parent-major, then row: each child's mass is its row's times its
+        # parent's, as one product of the same two floats
+        slots = slot_mass.take(atom, axis=0)
+        slots *= mass[:, None]
+        kept = np.flatnonzero(slots >= floor)  # NaN, an unused slot, fails
+        mass = slots.take(kept)
+        del slots
+        parent = kept // width
+        kept %= width  # the row of atom[parent] each kept child is
+        kept += atom.take(parent) * width  # and its slot in slot_child
+        child = slot_child.take(kept)
+        del kept  # freed before the gathers by parent: the run peaks lower
+        return split.take(parent), child, rep.take(parent), mass
 
     for start in range(0, n_replicas, chunk):
         stop = min(start + chunk, n_replicas)

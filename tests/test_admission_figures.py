@@ -106,6 +106,53 @@ def _wave_rows(tmp_path):
     return run, simulate.WAVE_ROW_BYTES
 
 
+def _wave_slots(tmp_path):
+    """mass_ensemble on a halving atom beside a rare one of 10 rows, at floor
+    0 to t = 15.5, one replica (seed 3): a wave of 266k rows takes 1.33M row
+    slots, past the slots that WAVE_ROW_BYTES covers.  Narrower rare atoms
+    weigh more per slot, but their rows' figure bounds them."""
+    spec = fragmentation_spec(2, {1: [(1.0, [(0.5, 1), (0.5, 1)]),
+                                      (1e-9, [(0.1, 2)] * 10)]})
+    waves = []
+
+    def admit(items, item_bytes, what):
+        if what == "row slots in one wave":
+            waves.append(items)
+        return errors.admit(items, item_bytes, what)
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "admit", admit)
+            simulate.mass_ensemble(spec, [15.5], 1, 3, lambda *_: None,
+                                   mass_floor=0.0)
+        return max(waves)
+
+    return run, simulate.WAVE_SLOT_BYTES
+
+
+def _padded_entries(tmp_path):
+    """mass_ensemble's tables on 2,000 one-row atoms beside one of 2,000
+    rows, run to a time before any split: 4M row slots and the padded
+    selection table of the atoms."""
+    n = 2000
+    spec = fragmentation_spec(2, {1: [(1.0, [(0.5, 2)])] * n
+                                  + [(1.0, [(1.0 / n, 2)] * n)]})
+    entries = []
+
+    def admit(items, item_bytes, what):
+        if item_bytes == simulate.PADDED_ENTRY_BYTES:
+            entries.append(items)
+        return errors.admit(items, item_bytes, what)
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "admit", admit)
+            simulate.mass_ensemble(spec, [1e-9], 1, 3, lambda *_: None)
+        return sum(entries)
+
+    return run, simulate.PADDED_ENTRY_BYTES
+
+
 SPEC_C = {"types": 2, "dislocation": {
     "1": [{"rate": 1.0, "fragments": [["3/5", 1], ["2/5", 2]]}],
     "2": [{"rate": 1.0, "fragments": [["1/2", 2], ["3/10", 1], ["1/5", 1]]}]}}
@@ -276,6 +323,8 @@ SITES = {"partition-labels-written": _partition_written_labels,
          "heap-path-fragments": _heap_path_fragments,
          "tagged-ensemble-replicas": _tagged_replicas,
          "mass-ensemble-wave-rows": _wave_rows,
+         "mass-ensemble-wave-slots": _wave_slots,
+         "padded-table-entries": _padded_entries,
          "ldcount-dropped-wave-rows": _ldcount_wave_rows,
          "simulate-cells": _simulate_cells,
          "simulate-held-rows": _simulate_held_rows,

@@ -324,10 +324,11 @@ def test_tagged_ensemble_takes_the_draws_of_its_reference(spec, times, n,
 
 
 def _check_draw(spec, rng):
-    """_draw against _reference_draw on the atom and the row tables of spec,
-    one type at a time and all drawable types mixed."""
+    """_selector's draw against _reference_draw on the atom and the row
+    tables of spec, one type at a time and all drawable types mixed."""
     for cum, starts in ((spec.atom_cum, spec.type_atoms),
                         (spec.row_cum, spec.type_rows)):
+        draw = simulate_module._selector(cum, starts)
         drawable = [i for i in range(1, spec.k + 1)
                     if starts[i + 1] > starts[i]]
         if not drawable:
@@ -336,10 +337,10 @@ def _check_draw(spec, rng):
         u = np.concatenate([cum, [0.0, 1.0 - 2.0 ** -53], rng.random(50)])
         for typ in drawable:
             types = np.full(u.size, typ, dtype=np.int64)
-            assert (simulate_module._draw(cum, starts, types, u).tobytes()
+            assert (draw(types, u).tobytes()
                     == _reference_draw(cum, starts, types, u).tobytes())
         types = rng.choice(drawable, u.size)
-        assert (simulate_module._draw(cum, starts, types, u).tobytes()
+        assert (draw(types, u).tobytes()
                 == _reference_draw(cum, starts, types, u).tobytes())
 
 
@@ -352,8 +353,8 @@ def test_draw_matches_its_reference(spec, seed):
 def test_draw_matches_its_reference_on_long_tables():
     # 300 atoms (600 rows) in type 1 and 256 atoms in type 4 beside a
     # one-entry table in type 2 and an empty one in type 3: nine bisection
-    # passes over the atoms and ten over the rows, most of them clamped to a
-    # shorter run's last entry
+    # passes over the atoms and ten over the rows, in tables 512 and 1024
+    # wide, most of whose entries are +inf pads
     rng = np.random.default_rng(22)
 
     def atoms(n):
@@ -367,13 +368,13 @@ def test_draw_matches_its_reference_on_long_tables():
     _check_draw(spec, rng)
 
 
-@pytest.mark.parametrize("longest", [4, 5])
-def test_draw_matches_its_reference_either_side_of_the_short_run(longest):
-    # SHORT_RUN = 4 entries are counted by columns, 5 by bisection: type 1
-    # has `longest` one-child atoms, type 2 one atom of `longest` children,
+@pytest.mark.parametrize("longest", [3, 4, 7, 8])
+def test_draw_matches_its_reference_at_power_of_two_widths(longest):
+    # the draw's table is the power of two past the longest run wide: 3 and
+    # 7 entries leave one +inf pad, 4 and 8 a row half empty.  Type 1 has
+    # `longest` one-child atoms, type 2 one atom of `longest` children,
     # type 3 one atom of two, and type 4 none
     rng = np.random.default_rng(longest)
-    assert simulate_module.SHORT_RUN == 4
     spec = fragmentation_spec(4, {
         1: [(float(rate), [(0.5, 2)])
             for rate in rng.uniform(0.1, 2.0, longest)],
@@ -394,7 +395,7 @@ def test_draw_counts_equal_entries_below():
     assert one[-1] == 1.0 and two[-1] == 1.0
     types = np.array([1, 1, 1, 2, 2, 2, 2])
     u = np.array([0.0, one[0], 0.99, 0.0, two[0], two[1], 0.95])
-    assert (simulate_module._draw(cum, starts, types, u).tolist()
+    assert (simulate_module._selector(cum, starts)(types, u).tolist()
             == [0, 1, 1, 2, 3, 4, 4])
 
 
@@ -402,17 +403,18 @@ def test_draw_counts_equal_entries_below():
 @given(spec=st.booleans().flatmap(lambda conservative: models(conservative)))
 def test_scalar_and_vector_searches_draw_the_same_index(spec):
     # the single-path engines' bisect_right within a type's run and the wave
-    # driver's _draw, on every entry (each final 1.0 included), 0 and the
+    # driver's draw, on every entry (each final 1.0 included), 0 and the
     # top uniform, for every type that has a table
     for cum, starts in ((spec.atom_cum, spec.type_atoms),
                         (spec.row_cum, spec.type_rows)):
+        draw = simulate_module._selector(cum, starts)
         values = cum.tolist()
         u = np.array(values + [0.0, 1.0 - 2.0 ** -53])
         for typ in range(1, spec.k + 1):
             lo, hi = int(starts[typ]), int(starts[typ + 1])
             if lo < hi:
                 types = np.full(u.size, typ, dtype=np.int64)
-                assert simulate_module._draw(cum, starts, types, u).tolist() == [
+                assert draw(types, u).tolist() == [
                     bisect_right(values, x, lo, hi) for x in u.tolist()]
 
 

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -695,6 +696,24 @@ def test_growth_past_the_byte_budget_is_refused(spec_c, monkeypatch):
                        match=f"more than {most} fragments"):
         simulate_mass_fragmentation(spec_c, 60.0, replica_stream(1, 0),
                                     mass_floor=0.0)
+
+
+def test_wide_atom_slots_past_the_byte_budget_are_refused(monkeypatch):
+    # a rare 1,000-row atom beside a halving one: a wave takes 500 row slots
+    # per row it makes, so its slots meet the budget long before its rows,
+    # and the wave is refused before they are allocated
+    spec = fragmentation_spec(2, {1: [(1.0, [(0.5, 1), (0.5, 1)]),
+                                      (1e-9, [(0.001, 2)] * 1000)]})
+    monkeypatch.setattr(errors, "MAX_RUN_BYTES", 2 ** 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded,
+                           match="row slots in one wave"):
+            mass_ensemble(spec, [60.0], 1, 1, _ignore, mass_floor=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22
 
 
 @pytest.mark.parametrize("seed, replica", [
