@@ -70,6 +70,7 @@ from .simulate import (
 from .spectral import (
     SpectralData,
     perron_eigen,
+    perron_grid,
     theta_bar,
 )
 from .streams import replica_stream

@@ -22,6 +22,7 @@ from .errors import (
     NoConvergence,
     NotIrreducible,
     ThetaAboveCritical,
+    check_square,
 )
 from .measures import FragmentationSpec, irreducibility_check, jump_sizes
 from .simulate import Snapshot
@@ -89,7 +90,7 @@ def clt_statistic(snapshot: Snapshot, f, drift: float) -> float:
 
 def stationary_distribution(intensity) -> np.ndarray:
     """The probability vector u with u Lambda = 0 for an intensity matrix."""
-    lam = np.asarray(intensity, dtype=float)
+    lam = check_square(intensity, "intensity matrix")
     if not irreducibility_check(lam):
         raise NotIrreducible("intensity matrix is not irreducible")
     k = lam.shape[0]

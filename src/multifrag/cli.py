@@ -434,17 +434,16 @@ def cmd_tagged(args):
 
 def cmd_spectral(args):
     spec = parse_spec_file(args.spec)
-    grid = []
-    for th in _theta_values(args):
-        sd = spectral.perron_eigen(spec, th, with_derivatives=True)
-        grid.append({
-            "theta": th,
-            "phi": sd.phi,
-            "phi_d1": sd.phi_d1,
-            "phi_d2": sd.phi_d2,
-            "u": [float(x) for x in sd.u],
-            "v": [float(x) for x in sd.v],
-        })
+    thetas = _theta_values(args)
+    grid = [{
+        "theta": th,
+        "phi": sd.phi,
+        "phi_d1": sd.phi_d1,
+        "phi_d2": sd.phi_d2,
+        "u": sd.u.tolist(),
+        "v": sd.v.tolist(),
+    } for th, sd in zip(thetas, spectral.perron_grid(
+        spec, thetas, with_derivatives=True))]
     try:
         tb, dphi = spectral.theta_bar(spec)
         report, failure = {"theta_bar": tb, "phi_prime_at_theta_bar": dphi}, None
@@ -474,7 +473,7 @@ def cmd_martingale(args):
     thetas = _theta_values(args)
     times, run = _snapshots(args, spec, seed,
                             MARTINGALE_ROW_BYTES * len(thetas))
-    sds = [spectral.perron_eigen(spec, th) for th in thetas]
+    sds = spectral.perron_grid(spec, thetas)
     m = np.zeros((args.replicas, len(times), len(sds)))
 
     def visit(ti, rep, mass, typ, frozen):

@@ -114,6 +114,29 @@ def check_count(value, name: str, least: int | None = 1) -> int:
     return int(value)
 
 
+def check_real(value, name: str):
+    """``value`` if it is an int, a float or a numpy real, never a bool;
+    else InvalidArgument.  A NaN passes: the domain check refuses it."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise InvalidArgument(f"{name} = {value!r} is not a real number")
+    return value
+
+
+def check_square(value, name: str) -> np.ndarray:
+    """``value`` as a square float matrix of finite entries; else
+    InvalidArgument."""
+    try:
+        matrix = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{name} is not a matrix of numbers") from None
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise InvalidArgument(f"{name} of shape {matrix.shape} is not square")
+    if not np.isfinite(matrix).all():
+        raise InvalidArgument(f"{name} has a non-finite entry")
+    return matrix
+
+
 # --- driver -------------------------------------------------------------------
 
 class ParseError(MultifragError):

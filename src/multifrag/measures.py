@@ -24,6 +24,8 @@ from .errors import (
     ThetaOutOfDomain,
     TypeOutOfRange,
     admit,
+    check_real,
+    check_square,
 )
 from .partitions import MASS_TOL, TypedMassPartition, build_typed_mass_partition
 
@@ -127,8 +129,8 @@ class FragmentationSpec:
         put("walk_cell", np.concatenate([
             (atom_type - 1) * (self.k + 1),
             (self.row_type - 1) * self.k + self.row_child - 1])[self.walk])
-        put("irreducible", irreducibility_check(_cell_sums(
-            self, -self.atom_weight, self.row_weight * self.row_mass)))
+        put("irreducible", irreducibility_check(_cell_sums(self, np.concatenate(
+            [-self.atom_weight, self.row_weight * self.row_mass]))))
 
     def check_type(self, i: int) -> int:
         """Return i if it is a type of this model, else raise TypeOutOfRange."""
@@ -231,7 +233,7 @@ def irreducibility_check(intensity: np.ndarray) -> bool:
     """True iff the graph of positive off-diagonal rates is strongly
     connected: a frontier search from type 1 reaches every type along the
     edges and against them, in O(k^2) for k types."""
-    edges = np.asarray(intensity, dtype=float) > 0.0
+    edges = check_square(intensity, "intensity matrix") > 0.0
     for graph in (edges, edges.T):
         seen = frontier = np.arange(len(graph)) == 0
         while not seen.all():
@@ -247,17 +249,21 @@ def _require_conservative(spec: FragmentationSpec) -> None:
         raise NotConservative("operation requires a conservative spec")
 
 
-def _cell_sums(spec: FragmentationSpec, atom_terms, row_terms) -> np.ndarray:
-    """k x k sums of a term per atom, on its type's diagonal cell, and a term
-    per child row, on its (parent type, child type) cell.
+def _cell_sums(spec: FragmentationSpec, terms: np.ndarray) -> np.ndarray:
+    """k x k sums of a term per atom, on its type's diagonal cell, and then
+    a term per child row, on its (parent type, child type) cell, along the
+    last axis of ``terms``; leading axes, if any, stack the sums.
 
     The terms are added in the order of spec.walk, so every cell has the
     bits of a running sum over the atoms and their children.
     """
-    sums = np.zeros(spec.k * spec.k)
-    np.add.at(sums, spec.walk_cell,
-              np.concatenate([atom_terms, row_terms])[spec.walk])
-    return sums.reshape(spec.k, spec.k)
+    lead, cells = terms.shape[:-1], spec.k * spec.k
+    stacks = math.prod(lead)
+    sums = np.zeros(stacks * cells)
+    np.add.at(sums, (spec.walk_cell
+                     + np.arange(0, stacks * cells, cells)[:, None]).ravel(),
+              terms.reshape(stacks, len(spec.walk))[:, spec.walk].ravel())
+    return sums.reshape(lead + (spec.k, spec.k))
 
 
 def intensity_matrix(spec: FragmentationSpec) -> np.ndarray:
@@ -267,7 +273,8 @@ def intensity_matrix(spec: FragmentationSpec) -> np.ndarray:
     - 1{i = j}); rows sum to zero because the outcomes carry full mass.
     """
     _require_conservative(spec)
-    return _cell_sums(spec, -spec.atom_weight, spec.row_weight * spec.row_mass)
+    return _cell_sums(spec, np.concatenate([-spec.atom_weight,
+                                            spec.row_weight * spec.row_mass]))
 
 
 def bernstein_matrix(spec: FragmentationSpec, theta: float) -> np.ndarray:
@@ -281,21 +288,35 @@ def bernstein_matrix(spec: FragmentationSpec, theta: float) -> np.ndarray:
 
 def bernstein_matrices(spec: FragmentationSpec, theta: float
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phi(theta) with its first two theta-derivatives.
+    """Phi(theta) with its first two theta-derivatives."""
+    return tuple(bernstein_grid(spec, [theta])[:, 0])
+
+
+def bernstein_grid(spec: FragmentationSpec, thetas) -> np.ndarray:
+    """Phi, Phi' and Phi'' at each of G thetas, as an array of shape
+    (3, G, k, k).
 
     Phi^(m)(theta)_ij = -sum over atoms of nu_i of weight
     * sum_n x_n^(1+theta) (log x_n)^m 1{i_n = j}, plus the total rate of
-    nu_i on the diagonal when m = 0.
+    nu_i on the diagonal when m = 0.  The first theta that is not a real
+    number raises InvalidArgument, the first not above THETA_LOWER
+    ThetaOutOfDomain.
     """
     _require_conservative(spec)
-    if not theta > THETA_LOWER + THETA_GUARD:
-        raise ThetaOutOfDomain(f"theta = {theta} not above {THETA_LOWER}")
-    term = spec.row_weight * spec.row_mass ** (1.0 + theta)
-    d1 = term * spec.row_log_mass
-    zero = np.zeros_like(spec.atom_weight)
-    return (_cell_sums(spec, spec.atom_weight, -term),
-            _cell_sums(spec, zero, -d1),
-            _cell_sums(spec, zero, -(d1 * spec.row_log_mass)))
+    atoms = len(spec.atom_weight)
+    terms = np.zeros((3, len(thetas), atoms + len(spec.row_mass)))
+    terms[0, :, :atoms] = spec.atom_weight
+    rows = terms[:, :, atoms:]
+    for g, theta in enumerate(thetas):
+        if not check_real(theta, "theta") > THETA_LOWER + THETA_GUARD:
+            raise ThetaOutOfDomain(f"theta = {theta} not above {THETA_LOWER}")
+        # a scalar power per theta: numpy's fast paths (x ** 2.0 squares)
+        # are taken for scalar exponents only
+        rows[0, g] = spec.row_mass ** (1.0 + theta)
+    rows[0] *= -spec.row_weight
+    np.multiply(rows[0], spec.row_log_mass, out=rows[1])
+    np.multiply(rows[1], spec.row_log_mass, out=rows[2])
+    return _cell_sums(spec, terms)
 
 
 @dataclass(frozen=True)

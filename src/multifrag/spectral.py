@@ -3,10 +3,10 @@
 phi(theta) is the eigenvalue of Phi(theta) with minimal real part.  When the
 type chain is irreducible, -Phi(theta) is an irreducible Metzler matrix, so
 that eigenvalue is real and simple with entrywise-positive left and right
-vectors.  One dense eigensolve of Phi and of its transpose gives phi, u and
-v; phi' and phi'' follow in closed form from u, v, Phi', Phi'' and the group
-inverse of Phi - phi I (Meyer & Stewart 1988), and theta_bar is the root of
-phi - (theta + 1) phi'.
+vectors.  One dense eigensolve of Phi and of its transpose, stacked over a
+grid of thetas, gives phi, u and v; phi' and phi'' follow in closed form from
+u, v, Phi', Phi'' and the group inverse of Phi - phi I (Meyer & Stewart
+1988), and theta_bar is the root of phi - (theta + 1) phi'.
 """
 
 import math
@@ -14,15 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaximumAtBracketEdge, NoConvergence, NotIrreducible
+from .errors import (
+    MaximumAtBracketEdge,
+    MultifragError,
+    NoConvergence,
+    NotIrreducible,
+)
 from .measures import (
     FragmentationSpec,
     THETA_GUARD,
     _require_conservative,
-    bernstein_matrices,
+    bernstein_grid,
 )
 
 THETA_BAR_BRACKET = (0.0, 50.0)  # where theta_bar searches for the root of h
+# most matrix cells in one stack of perron_grid: one theta a stack from k = 64
+STACK_CELLS = 2 ** 12
+_PAIR = np.array([[0], [1]])  # picks Phi's and its transpose's stack
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,8 @@ class SpectralData:
 
 
 def _perron_vector(shifted: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Two inverse-iteration steps from a LAPACK eigenvector.
+    """Two inverse-iteration steps from a LAPACK eigenvector, or from one
+    per matrix of a stack along the leading axes.
 
     ``shifted`` is Phi - sigma I with sigma just below phi, a nonsingular
     M-matrix whose inverse is entrywise positive, so the steps restore
@@ -51,11 +60,103 @@ def _perron_vector(shifted: np.ndarray, vec: np.ndarray) -> np.ndarray:
     x = np.abs(vec.real)
     try:
         for _ in range(2):
-            x = np.linalg.solve(shifted, x)
-            x = x / x.sum()
+            x = np.linalg.solve(shifted, x[..., None])[..., 0]
+            x = x / x.sum(axis=-1, keepdims=True)
     except np.linalg.LinAlgError as exc:  # the gap at its rounding floor
         raise NoConvergence(f"Perron inverse iteration: {exc}") from exc
     return x
+
+
+def _perron_stack(spec: FragmentationSpec, thetas: list,
+                  with_derivatives: bool) -> list[SpectralData]:
+    """perron_eigen's work for a stack of thetas, one numpy call a step.
+
+    A failing member raises for the whole stack; a stack of one theta
+    raises what that theta raises, with its message.
+    """
+    mats = bernstein_grid(spec, thetas)
+    m, m1 = mats[0], mats[1]
+    k, each = spec.k, np.arange(len(thetas))
+    # Phi and its transpose: their eigensolves, and then the inverse
+    # iterations for v and u, run as one stack
+    both = np.concatenate([m, m.transpose(0, 2, 1)]).reshape(2, -1, k, k)
+    w, vecs = np.linalg.eig(both)
+    w = w.real
+    order = w[0].argsort(axis=1)
+    lowest = np.sort(w[0], axis=1)  # w[0] in the order of order
+    phi = lowest[:, :1] + 0.0
+    scale = abs(m).sum(axis=2).max(axis=1, keepdims=True, initial=1.0)
+    # spectral gap, floored at the rounding level of Phi
+    gap = np.maximum(lowest[:, 1:2] - phi if k > 1 else scale, 1e-12 * scale)
+    eye = np.eye(k)
+    first = np.array([order[:, 0], w[1].argmin(axis=1)])
+    v, u = uv = _perron_vector(both - (phi - 1e-3 * gap)[:, :, None] * eye,
+                               vecs[_PAIR, each, :, first])
+    rows = u[:, None, :]
+    v /= (rows @ v[:, :, None])[:, 0]
+    cols = v[:, :, None]
+    if (uv <= 0).any():
+        raise NoConvergence("Perron vectors not positive")
+    u_mats = rows @ mats  # u Phi, u Phi' and u Phi''
+    left, right = abs(
+        np.concatenate([u_mats[0, :, 0], (m @ cols)[:, :, 0]]).reshape(uv.shape)
+        - phi * uv[::-1]).max(axis=2)
+    # the larger of the two, the left one when either is NaN
+    resid = np.where(right > left, right, left)
+    if (bad := resid > 1e-9 * scale[:, 0]).any():
+        raise NoConvergence(f"eigen residual {resid[bad][0]} above 1e-9 |Phi|")
+    phis = phi[:, 0].tolist()
+    if not with_derivatives:
+        return list(map(SpectralData, thetas, phis, u, v))
+    # group inverse of Phi - phi I; the rank-one term is weighted by the gap
+    # so that the inverted matrix stays as well conditioned as the problem
+    vu, gap = cols * rows, gap[:, :, None]
+    try:
+        group = (np.linalg.inv(m - phi[:, :, None] * eye + gap * vu)
+                 - vu / gap)
+    except np.linalg.LinAlgError as exc:  # the gap at its rounding floor
+        raise NoConvergence(
+            f"group inverse at theta = {thetas[0]}: {exc}") from exc
+    with np.errstate(all="ignore"):  # a non-finite value is raised below
+        d1, d2 = (u_mats[1:] @ cols)[:, :, 0, 0]
+        d2 = d2 - (2.0 * u_mats[1] @ group @ (m1 @ cols))[:, 0, 0]
+    d1, d2 = d1.tolist(), d2.tolist()
+    for th, a, b in zip(thetas, d1, d2):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise NoConvergence(f"phi' = {a}, phi'' = {b} at theta = {th}")
+    return list(map(SpectralData, thetas, phis, u, v, d1, d2))
+
+
+def perron_grid(spec: FragmentationSpec, thetas, *,
+                with_derivatives: bool = False) -> list[SpectralData]:
+    """perron_eigen at each theta of ``thetas``, a stack of at most
+    STACK_CELLS matrix cells at a time.
+
+    Stacked LAPACK calls run, on each member, the routine one matrix runs,
+    so every theta gets the bits it gets alone.  A stack in which any member
+    fails, or raises a floating-point flag, runs again a theta at a time:
+    the first failing theta raises, and warns, as it does alone.
+    """
+    _require_conservative(spec)
+    if not spec.irreducible:
+        raise NotIrreducible("tagged type chain is not irreducible")
+    thetas = list(thetas)
+    size = max(1, STACK_CELLS // spec.k ** 2)
+    return [sd for lo in range(0, len(thetas), size)
+            for sd in _solve_stack(spec, thetas[lo:lo + size],
+                                   with_derivatives)]
+
+
+def _solve_stack(spec: FragmentationSpec, stack: list,
+                 with_derivatives: bool) -> list[SpectralData]:
+    if len(stack) > 1:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return _perron_stack(spec, stack, with_derivatives)
+        except (MultifragError, np.linalg.LinAlgError, FloatingPointError):
+            pass  # found again below, one theta at a time
+    return [sd for th in stack
+            for sd in _perron_stack(spec, [th], with_derivatives)]
 
 
 def perron_eigen(spec: FragmentationSpec, theta: float, *,
@@ -66,45 +167,7 @@ def perron_eigen(spec: FragmentationSpec, theta: float, *,
     phi'' = u Phi'' v - 2 u Phi' G Phi' v, where G is the group inverse of
     Phi - phi I.
     """
-    _require_conservative(spec)
-    if not spec.irreducible:
-        raise NotIrreducible("tagged type chain is not irreducible")
-    m, m1, m2 = bernstein_matrices(spec, theta)
-    k = spec.k
-    w, right = np.linalg.eig(m)
-    w_t, left = np.linalg.eig(m.T)
-    order = np.argsort(w.real)
-    phi = float(w[order[0]].real) + 0.0
-    scale = max(1.0, float(np.max(np.sum(np.abs(m), axis=1))))
-    # spectral gap, floored at the rounding level of Phi
-    gap = max(float(w[order[1]].real) - phi if k > 1 else scale,
-              1e-12 * scale)
-    shifted = m - (phi - 1e-3 * gap) * np.eye(k)
-    v = _perron_vector(shifted, right[:, order[0]])
-    u = _perron_vector(shifted.T, left[:, np.argmin(w_t.real)])
-    v = v / (u @ v)
-    if np.any(u <= 0) or np.any(v <= 0):
-        raise NoConvergence("Perron vectors not positive")
-    resid = max(np.max(np.abs(u @ m - phi * u)),
-                np.max(np.abs(m @ v - phi * v)))
-    if resid > 1e-9 * scale:
-        raise NoConvergence(f"eigen residual {resid} above 1e-9 |Phi|")
-    if not with_derivatives:
-        return SpectralData(theta=theta, phi=phi, u=u, v=v)
-    # group inverse of Phi - phi I; the rank-one term is weighted by the gap
-    # so that the inverted matrix stays as well conditioned as the problem
-    vu = np.outer(v, u)
-    try:
-        group = np.linalg.inv(m - phi * np.eye(k) + gap * vu) - vu / gap
-    except np.linalg.LinAlgError as exc:  # the gap at its rounding floor
-        raise NoConvergence(f"group inverse at theta = {theta}: {exc}") from exc
-    with np.errstate(all="ignore"):  # a non-finite value is raised below
-        d1 = float(u @ m1 @ v)
-        d2 = float(u @ m2 @ v - 2.0 * (u @ m1) @ group @ (m1 @ v))
-    if not (math.isfinite(d1) and math.isfinite(d2)):
-        raise NoConvergence(f"phi' = {d1}, phi'' = {d2} at theta = {theta}")
-    return SpectralData(theta=theta, phi=phi, u=u, v=v,
-                        phi_d1=d1, phi_d2=d2)
+    return perron_grid(spec, [theta], with_derivatives=with_derivatives)[0]
 
 
 def theta_bar(spec: FragmentationSpec) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from multifrag import (
     fragmentation_spec,
     gaussian_limit,
     intensity_matrix,
+    irreducibility_check,
     largest_fragment_rates,
     lattice_check,
     ld_count,
@@ -568,6 +569,15 @@ BAD_ARGUMENTS = {
     "count-type-0": lambda spec: ld_count(_at(1.0), 0.5, 2.0, 0, _sd(spec)),
     "count-type-past-k": lambda spec: ld_count(
         _at(1.0), 0.5, 2.0, spec.k + 1, _sd(spec)),
+    # numpy's broadcast ValueError, or [1.] for the NaN
+    "irreducibility-not-square": lambda spec: irreducibility_check(
+        np.zeros((2, 3))),
+    "stationary-not-square": lambda spec: stationary_distribution(
+        np.zeros((2, 3))),
+    "stationary-of-nan": lambda spec: stationary_distribution([[math.nan]]),
+    # a TypeError, and numpy's truth-value ValueError
+    "perron-theta-string": lambda spec: perron_eigen(spec, "1"),
+    "perron-theta-array": lambda spec: perron_eigen(spec, np.array([0.5, 1.0])),
 }
 
 

@@ -936,14 +936,14 @@ def test_spectral_keeps_its_grid_when_theta_bar_fails(spec_b_file, tmp_path,
 def test_spectral_writes_nothing_when_a_grid_point_fails(spec_b_file, tmp_path,
                                                          fmt, capsys,
                                                          monkeypatch):
-    perron_eigen = spectral.perron_eigen
+    perron_grid = spectral.perron_grid
 
-    def failing_at_one(spec, theta, **kwargs):
-        if theta == 1.0:
+    def failing_at_one(spec, thetas, **kwargs):
+        if 1.0 in thetas:
             raise NoConvergence("singular at theta = 1")
-        return perron_eigen(spec, theta, **kwargs)
+        return perron_grid(spec, thetas, **kwargs)
 
-    monkeypatch.setattr(spectral, "perron_eigen", failing_at_one)
+    monkeypatch.setattr(spectral, "perron_grid", failing_at_one)
     out = tmp_path / f"s.{fmt}"
     assert main(["spectral", "--spec", spec_b_file, "--theta", "0.5,1",
                  "--format", fmt, "--out", str(out)]) == 4

@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from multifrag import fragmentation_spec, simulate_mass_fragmentation
@@ -267,3 +268,69 @@ def test_heap_paths_match_golden_digest(tmp_path):
                 h.update(column.dtype.str.encode() + column.tobytes())
             h.update(repr(snap.dust).encode())
     assert h.hexdigest() == HEAP_PATH_DIGEST
+
+
+def _k8_doc(seed):
+    """A conservative k = 8 model drawn from ``seed``, built as the spectral
+    benchmark workload builds its random model: a fixed template of total
+    rates 0.5, 1.0, ..., 4.0 and two three-child atoms per type, a cycle
+    through all types, types relabelled by a seeded permutation and child
+    masses jittered by up to 10%."""
+    k = 8
+    template = np.random.default_rng(8)
+    rng = np.random.default_rng([seed, k])
+    label = rng.permutation(k) + 1
+    dislocation = {}
+    for i in range(1, k + 1):
+        share = template.uniform(0.3, 0.7)
+        atoms = []
+        for a, part in enumerate((share, 1.0 - share)):
+            raw = (template.random(3) + 0.2) * (1.0 + 0.1 * rng.uniform(-1, 1, 3))
+            masses = raw / raw.sum()
+            types = template.integers(1, k + 1, 3)
+            if a == 0:
+                types[0] = i % k + 1
+            atoms.append({"rate": float(0.5 * i * part),
+                          "fragments": [[float(m), int(label[t - 1])]
+                                        for m, t in zip(masses, types)]})
+        dislocation[str(int(label[i - 1]))] = atoms
+    return {"types": k, "erosion": [0.0] * k, "conservative": True,
+            "dislocation": dict(sorted(dislocation.items()))}
+
+
+# spectral on a k = 8 model at the benchmark's grid, and on SPEC-C over a
+# grid that starts below 0 and crosses theta = 1; the cases above hold
+# k <= 3 and three thetas in [0, 1].  Taken before a grid's Perron data
+# came from one stacked eigensolve.
+SPECTRAL_GRID_CASES = {
+    "random_k8": (_k8_doc(1), "0:2:0.25"),
+    "spec_c-wide": (SPEC_C_DOC, "-0.5:3:0.125"),
+}
+SPECTRAL_GRID_DIGESTS = {
+    "random_k8-csv":
+        "9ec29eef61d7ffeb7beb9f2fe8c8ba65c0c6e115bfe7071bf890395d27f5d36b",
+    "random_k8-json":
+        "699873f74707dc8c838129f3930112556b85d75dd31f999e382a50547fa6028e",
+    "spec_c-wide-csv":
+        "5b7f85773c2b3cfe7a2a1984f10d3609c1a3893a32c08a3e5c1616849d762477",
+    "spec_c-wide-json":
+        "ecad421bbffc8e4bfbce06a8e7ed9db76a1296ed27b2ba60230f0c2cd509c5e4",
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_GRID_DIGESTS))
+def test_spectral_grid_matches_golden_digest(case, tmp_path):
+    model, fmt = case.rsplit("-", 1)
+    doc, grid = SPECTRAL_GRID_CASES[model]
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / f"spectral.{fmt}"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["spectral", "--spec", str(spec), "--out", str(out),
+                     "--format", fmt, f"--theta-grid={grid}"])
+    h = hashlib.sha256(f"{code}\n".encode())
+    h.update(out.read_bytes() if out.exists() else b"")
+    h.update(printed.getvalue().encode())
+    assert h.hexdigest() == SPECTRAL_GRID_DIGESTS[case]
