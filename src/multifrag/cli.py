@@ -473,7 +473,7 @@ def cmd_martingale(args):
     thetas = _theta_values(args)
     times, run = _snapshots(args, spec, seed,
                             MARTINGALE_ROW_BYTES * len(thetas))
-    sds = spectral.perron_grid(spec, thetas)
+    sds = list(spectral.perron_grid(spec, thetas))
     m = np.zeros((args.replicas, len(times), len(sds)))
 
     def visit(ti, rep, mass, typ, frozen):

@@ -10,7 +10,9 @@ u, v, Phi', Phi'' and the group inverse of Phi - phi I (Meyer & Stewart
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -31,6 +33,7 @@ THETA_BAR_BRACKET = (0.0, 50.0)  # where theta_bar searches for the root of h
 # most matrix cells in one stack of perron_grid: one theta a stack from k = 64
 STACK_CELLS = 2 ** 12
 _PAIR = np.array([[0], [1]])  # picks Phi's and its transpose's stack
+_eye = cache(np.eye)  # read only
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def _perron_stack(spec: FragmentationSpec, thetas: list,
     scale = abs(m).sum(axis=2).max(axis=1, keepdims=True, initial=1.0)
     # spectral gap, floored at the rounding level of Phi
     gap = np.maximum(lowest[:, 1:2] - phi if k > 1 else scale, 1e-12 * scale)
-    eye = np.eye(k)
+    eye = _eye(k)
     first = np.array([order[:, 0], w[1].argmin(axis=1)])
     v, u = uv = _perron_vector(both - (phi - 1e-3 * gap)[:, :, None] * eye,
                                vecs[_PAIR, each, :, first])
@@ -128,9 +131,9 @@ def _perron_stack(spec: FragmentationSpec, thetas: list,
 
 
 def perron_grid(spec: FragmentationSpec, thetas, *,
-                with_derivatives: bool = False) -> list[SpectralData]:
-    """perron_eigen at each theta of ``thetas``, a stack of at most
-    STACK_CELLS matrix cells at a time.
+                with_derivatives: bool = False) -> Iterator[SpectralData]:
+    """perron_eigen at each theta of ``thetas``, in order, solved a stack of
+    at most STACK_CELLS matrix cells at a time and yielded as it goes.
 
     Stacked LAPACK calls run, on each member, the routine one matrix runs,
     so every theta gets the bits it gets alone.  A stack in which any member
@@ -142,9 +145,8 @@ def perron_grid(spec: FragmentationSpec, thetas, *,
         raise NotIrreducible("tagged type chain is not irreducible")
     thetas = list(thetas)
     size = max(1, STACK_CELLS // spec.k ** 2)
-    return [sd for lo in range(0, len(thetas), size)
-            for sd in _solve_stack(spec, thetas[lo:lo + size],
-                                   with_derivatives)]
+    for lo in range(0, len(thetas), size):
+        yield from _solve_stack(spec, thetas[lo:lo + size], with_derivatives)
 
 
 def _solve_stack(spec: FragmentationSpec, stack: list,
@@ -167,7 +169,7 @@ def perron_eigen(spec: FragmentationSpec, theta: float, *,
     phi'' = u Phi'' v - 2 u Phi' G Phi' v, where G is the group inverse of
     Phi - phi I.
     """
-    return perron_grid(spec, [theta], with_derivatives=with_derivatives)[0]
+    return next(perron_grid(spec, [theta], with_derivatives=with_derivatives))
 
 
 def theta_bar(spec: FragmentationSpec) -> tuple[float, float]:

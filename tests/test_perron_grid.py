@@ -182,14 +182,15 @@ def test_a_failing_grid_raises_what_its_first_failing_theta_raises(
         spec_c, grid):
     _same(spec_c, grid, True)
     with pytest.raises((ThetaOutOfDomain, NoConvergence)):
-        perron_grid(spec_c, grid, with_derivatives=True)
+        list(perron_grid(spec_c, grid, with_derivatives=True))
 
 
 def test_the_far_grid_point_fails_without_a_warning(spec_c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence) as got:
-            perron_grid(spec_c, [0.5, 350.75, 1.0], with_derivatives=True)
+            list(perron_grid(spec_c, [0.5, 350.75, 1.0],
+                             with_derivatives=True))
         with pytest.raises(NoConvergence) as want:
             reference_perron_eigen(spec_c, 350.75, with_derivatives=True)
     assert str(got.value) == str(want.value)
@@ -209,7 +210,7 @@ def test_a_theta_that_is_not_a_real_number_is_refused(spec_c, theta):
     with pytest.raises(InvalidArgument):
         perron_eigen(spec_c, theta)
     with pytest.raises(InvalidArgument):
-        perron_grid(spec_c, [0.5, theta])
+        list(perron_grid(spec_c, [0.5, theta]))
 
 
 def test_a_nan_theta_is_out_of_the_domain(spec_c):
@@ -218,7 +219,7 @@ def test_a_nan_theta_is_out_of_the_domain(spec_c):
 
 
 def test_numpy_reals_and_an_empty_grid_are_taken(spec_c):
-    assert perron_grid(spec_c, []) == []
+    assert list(perron_grid(spec_c, [])) == []
     got = perron_grid(spec_c, np.array([0.25, 0.5]), with_derivatives=True)
     assert [sd.phi for sd in got] == [
         reference_perron_eigen(spec_c, th)[0] for th in (0.25, 0.5)]
