@@ -303,20 +303,19 @@ def bernstein_grid(spec: FragmentationSpec, thetas) -> np.ndarray:
     ThetaOutOfDomain.
     """
     _require_conservative(spec)
-    atoms = len(spec.atom_weight)
-    terms = np.zeros((3, len(thetas), atoms + len(spec.row_mass)))
-    terms[0, :, :atoms] = spec.atom_weight
-    rows = terms[:, :, atoms:]
+    term = np.empty((len(thetas), len(spec.row_mass)))
     for g, theta in enumerate(thetas):
         if not check_real(theta, "theta") > THETA_LOWER + THETA_GUARD:
             raise ThetaOutOfDomain(f"theta = {theta} not above {THETA_LOWER}")
         # a scalar power per theta: numpy's fast paths (x ** 2.0 squares)
         # are taken for scalar exponents only
-        rows[0, g] = spec.row_mass ** (1.0 + theta)
-    rows[0] *= -spec.row_weight
-    np.multiply(rows[0], spec.row_log_mass, out=rows[1])
-    np.multiply(rows[1], spec.row_log_mass, out=rows[2])
-    return _cell_sums(spec, terms)
+        term[g] = spec.row_mass ** (1.0 + theta)
+    term *= -spec.row_weight
+    d1 = term * spec.row_log_mass
+    atoms = np.zeros((3,) + term.shape[:1] + spec.atom_weight.shape)
+    atoms[0] = spec.atom_weight
+    return _cell_sums(spec, np.concatenate(
+        [atoms, [term, d1, d1 * spec.row_log_mass]], axis=2))
 
 
 @dataclass(frozen=True)
